@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quadrules import gauss_hermite
 from .errors import DomainViolation, QuadratureFailure
 
 __all__ = [
@@ -139,7 +140,7 @@ def _axis_rates(c, s, w, h):
 def _gh_axis(rate: float, center: float, nodes: int):
     """Gauss-Hermite points mapped to envelope scale, weights with the
     e^{x^2} factor restored (safe for the node counts used here)."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x, w = gauss_hermite(nodes)
     pts = center + x / math.sqrt(rate)
     fac = w * np.exp(x * x) / math.sqrt(rate)
     return pts, fac

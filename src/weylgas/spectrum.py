@@ -15,13 +15,20 @@ the bound is checked against the caller's tolerance.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.integrate import IntegrationWarning, quad
 
-from .errors import DomainViolation, InvalidIndex, InvalidSpec, TailToleranceExceeded
+from .errors import (
+    DomainViolation,
+    InvalidIndex,
+    InvalidSpec,
+    QuadratureFailure,
+    TailToleranceExceeded,
+)
 
 __all__ = [
     "BoxSpectrum", "kappa", "eigenvalue", "ground_energy", "volume",
@@ -171,65 +178,72 @@ def count_below(spec: BoxSpectrum, lam: float) -> int:
 
 # -- trace classifier ---------------------------------------------------------
 
-def _log_gl(lo: float, hi: float, npts: int):
-    x, w = roots_legendre(npts)
-    t = 0.5 * (math.log(hi) - math.log(lo)) * x + 0.5 * (math.log(hi) + math.log(lo))
-    pts = np.exp(t)
-    wts = pts * 0.5 * (math.log(hi) - math.log(lo)) * w
-    return pts, wts
+# Both theta series below are cut after n = 6: on the side of t = pi where
+# each is used, the first omitted term is below exp(-48 pi) ~ 1e-66 of the
+# first kept one.
+_THETA_N = np.arange(1.0, 7.0)
 
 
-def _inv_gl(lo: float, npts: int):
-    # x = lo/u maps (0,1] to [lo, inf); du weight lo/u^2
-    x, w = roots_legendre(npts)
-    u = 0.5 * x + 0.5
-    pts = lo / u
-    wts = (lo / u ** 2) * 0.5 * w
-    return pts, wts
+def _theta_mellin(s: float, nu: int) -> tuple[float, float]:
+    """J = sum over n in N^nu of (|n|^2 / nu)^{-s} for 2 s > nu, with the
+    summed quad error estimate.
 
-
-def _tail_integral(s: float, nu: int, big: float, npts: int = 96) -> float:
-    """integral of |x|^{-2s} over (1/2, inf)^nu minus (1/2, big]^nu.
-
-    Decomposed into nu slabs by the first coordinate exceeding ``big``;
-    every axis is covered by Gauss-Legendre panels after log (bounded) or
-    inverse (unbounded) substitutions, with the unbounded trailing axes
-    split at ``big`` so each panel sees a smooth integrand.
+    J = nu^s / Gamma(s) int_0^inf t^{s-1} theta(t)^nu dt, where
+    theta(t) = sum_{n >= 1} exp(-t n^2).  On (0, pi] theta is Poisson
+    inverted, theta = P + R with P = (sqrt(pi/t) - 1)/2 and
+    R = sqrt(pi/t) sum_{j >= 1} exp(-pi^2 j^2 / t); the P^nu part is
+    integrated in closed form and the nonnegative remainder
+    (P + R)^nu - P^nu by quad.  On [pi, inf) the direct series is
+    integrated by quad.  Working with nu^s keeps J of order one for
+    large s.  The estimate covers the quadrature only; rounding in the
+    integrands' exponents adds about s log(s) ulps, which stays below
+    1e-12 of J for s up to about 1000.
     """
-    a = 0.5
-    inner = _log_gl(a, big, npts)
-    outer = _inv_gl(big, npts)
-    both = (np.concatenate([inner[0], outer[0]]),
-            np.concatenate([inner[1], outer[1]]))
-    total = 0.0
-    for k in range(nu):
-        axes = [inner if i < k else (outer if i == k else both)
-                for i in range(nu)]
-        x0, w0 = axes[0]
-        if nu == 1:
-            total += float(np.sum(w0 * (x0 * x0) ** (-s)))
-            continue
-        rsq_rest = np.zeros([1] * (nu - 1))
-        wgt_rest = np.ones([1] * (nu - 1))
-        for i, (x, w) in enumerate(axes[1:]):
-            shape = [1] * (nu - 1)
-            shape[i] = -1
-            rsq_rest = rsq_rest + (x * x).reshape(shape)
-            wgt_rest = wgt_rest * w.reshape(shape)
-        for xv, wv in zip(x0, w0):
-            total += wv * float(np.sum(wgt_rest * (xv * xv + rsq_rest) ** (-s)))
-    return total
+    log_pref = s * math.log(nu) - math.lgamma(s)
+    # int_0^pi t^{s-1} P^nu dt; the alternating binomial sum over
+    # pi^s / (s - k/2) collapses to a positive product
+    power = math.exp(s * math.log(math.pi) + log_pref) * 2.0 ** (1 - nu) \
+        * math.factorial(nu) / math.prod(2.0 * s - nu + j for j in range(nu + 1))
+
+    def inverted(t):
+        root = math.sqrt(math.pi / t)
+        r = root * float(np.sum(np.exp(-math.pi ** 2 * _THETA_N ** 2 / t)))
+        if r == 0.0:
+            return 0.0
+        p = 0.5 * (root - 1.0)
+        excess = sum(math.comb(nu, k) * p ** (nu - k) * r ** k for k in range(1, nu + 1))
+        return math.exp((s - 1.0) * math.log(t) + log_pref) * excess
+
+    def direct(t):
+        # theta(t) = exp(-t) (1 + sum_{n >= 2} exp(-t (n^2 - 1)))
+        rest = float(np.sum(np.exp(-t * (_THETA_N[1:] ** 2 - 1.0))))
+        return math.exp((s - 1.0) * math.log(t) + log_pref - nu * t
+                        + nu * math.log1p(rest))
+
+    # split the direct part at the peak of t^{s-1} e^{-nu t}, which quad's
+    # map of [pi, inf) would step over for large s
+    peak = max(math.pi, (s - 1.0) / nu)
+    value, err = power, 0.0
+    with warnings.catch_warnings():
+        # a quad that misses its tolerance is caught by the caller's check
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for fn, lo, hi in ((inverted, 0.0, math.pi), (direct, math.pi, peak),
+                           (direct, peak, np.inf)):
+            v, e = quad(fn, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+            value += v
+            err += e
+    return value, err
 
 
 def trace_h_power(s: float, spec: BoxSpectrum) -> tuple[float, bool]:
-    """Partial trace sum_{n <= cutoff} E_n^{-s} with a convergence verdict.
+    """Trace of H^{-s} on the box with a convergence verdict.
 
     converged is True iff 2 s > nu (integral test).  In the convergent case
-    the returned value additionally carries an integral-test tail estimate
-    (evaluated at an internally enlarged cutoff, midpoint-cell rule over the
-    complement region), so that the value stabilizes under cutoff growth at
-    the level the residual lattice-vs-integral discrepancy permits; the
-    divergent case returns the raw partial sum, which grows without bound.
+    the value is the full trace sum over all n >= 1 of E_n^{-s}, from the
+    Jacobi-theta Mellin integral of ``_theta_mellin``; the cutoff is
+    ignored, and QuadratureFailure is raised when the summed quad error
+    estimates exceed 1e-12 of the value.  The divergent case returns the
+    partial sum over [1..cutoff]^nu, which grows without bound.
     """
     if s <= 0:
         raise DomainViolation("exponent must be positive")
@@ -241,11 +255,9 @@ def trace_h_power(s: float, spec: BoxSpectrum) -> tuple[float, bool]:
                           spec.cutoff, spec.nu)
         return value, converged
 
-    # Enlarge the lattice sum to a floor independent of the requested cutoff
-    # so the corrected value is cutoff-stable; the midpoint-cell integral
-    # over the complement region then carries the remaining tail.
-    big = max(spec.cutoff, 400)
-    partial = _grid_sum(lambda *ns: (k * sum(n * n for n in ns)) ** (-s),
-                        big, spec.nu)
-    tail = k ** (-s) * _tail_integral(s, spec.nu, big + 0.5)
-    return partial + tail, converged
+    scaled, err = _theta_mellin(s, spec.nu)
+    if not err <= 1e-12 * scaled:
+        raise QuadratureFailure(
+            f"theta-Mellin trace error estimate {err:.3e} exceeds 1e-12 of "
+            f"{scaled:.6e} (s={s}, nu={spec.nu})")
+    return ground_energy(spec.L, spec.nu) ** (-s) * scaled, converged

@@ -201,19 +201,28 @@ def _box_quadform(f: tf.TestFunction, box: sp.BoxSpectrum, factor,
     L = box.L
     k = sp.kappa(L)
 
-    tables = []  # per term: list of per-axis overlap vectors (length C)
-    for t in f.terms:
-        tables.append([tf.axis_sine_overlaps(t.center[i], t.sigma, t.wave[i], L, C)
-                       for i in range(f.nu)])
+    # per distinct (center, sigma, wave) axis: overlap vector (length C),
+    # its squared norm and the certified bound on the squared tail beyond C
+    axes = {}
+
+    def axis(center, sigma, wave):
+        key = (center, sigma, wave)
+        if key not in axes:
+            table = tf.axis_sine_overlaps(center, sigma, wave, L, C)
+            axes[key] = (table, float(np.sum(np.abs(table) ** 2)),
+                         _axis_tail_sq_bound(center, sigma, wave, L, C))
+        return axes[key]
+
+    per_term = [[axis(t.center[i], t.sigma, t.wave[i]) for i in range(f.nu)]
+                for t in f.terms]
+    tables = [[table for table, _, _ in term] for term in per_term]
 
     # certified tail of the overlap-squared sum (Cauchy-Schwarz over terms)
     n_terms = len(f.terms)
     tail_sq = 0.0
-    for t, tab in zip(f.terms, tables):
-        partial = [float(np.sum(np.abs(v) ** 2)) for v in tab]
-        bounds = [_axis_tail_sq_bound(t.center[i], t.sigma, t.wave[i], L, C)
-                  for i in range(f.nu)]
-        gross = math.prod(s + b for s, b in zip(partial, bounds)) - math.prod(partial)
+    for t, term in zip(f.terms, per_term):
+        gross = math.prod(sq + bound for _, sq, bound in term) \
+            - math.prod(sq for _, sq, _ in term)
         tail_sq += abs(t.amp) ** 2 * gross
     tail = tail_factor_sup * L ** (-box.nu) * n_terms * tail_sq
     if not math.isfinite(tail) or tail > tail_tol:
@@ -346,7 +355,6 @@ def weyl_expectation(spec: StateSpec, f, *, tail_tol: float = 1e-9,
     kinds).  Box TestFunction arguments carry a certified tail bound on the
     truncated exponent, checked against ``tail_tol``.
     """
-    validate_spec(spec)
     value, _ = weyl_expectation_with_tail(spec, f, tail_tol=tail_tol, rtol=rtol)
     return value
 

@@ -32,8 +32,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import roots_legendre
 
+from ._quadrules import gauss_hermite, gauss_legendre
 from .errors import (
     DimensionMismatch,
     DimensionTooLow,
@@ -240,13 +240,17 @@ def ham_pair(f: TestFunction, g: TestFunction) -> complex:
     return complex(total)
 
 
-def _quad_complex(fn, lo, hi, rtol):
+def _quad_complex(fn, lo, hi, rtol, *, real=False):
     # scipy's slow-convergence heuristic misfires on long exponential tails
     # (e.g. resolvent pairings at tiny spectral shift); accuracy is enforced
-    # by the dual-route and oracle tests instead.
+    # by the dual-route and oracle tests instead.  ``real`` skips the
+    # imaginary part of an integrand known to be real: its rounding noise
+    # would otherwise drive quad to the subdivision limit.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         re, _ = quad(lambda x: fn(x).real, lo, hi, epsabs=0.0, epsrel=rtol, limit=400)
+        if real:
+            return complex(re, 0.0)
         im, _ = quad(lambda x: fn(x).imag, lo, hi, epsabs=0.0, epsrel=rtol * 10, limit=400)
     return complex(re, im)
 
@@ -261,8 +265,10 @@ def invham_pair(f: TestFunction, g: TestFunction, *, rtol: float = 1e-12) -> com
         raise DimensionMismatch(f"{f.nu} vs {g.nu}")
     if f.nu < 3:
         raise DimensionTooLow(f"<f, H^-1 g> requires nu >= 3, got nu={f.nu}")
-    val = _quad_complex(lambda u: heat_pair(f, g, u), 0.0, 1.0, rtol)
-    val += _quad_complex(lambda u: heat_pair(f, g, u), 1.0, np.inf, rtol)
+    # K(tau) is real for a diagonal pair
+    real = f == g
+    val = _quad_complex(lambda u: heat_pair(f, g, u), 0.0, 1.0, rtol, real=real)
+    val += _quad_complex(lambda u: heat_pair(f, g, u), 1.0, np.inf, rtol, real=real)
     return 2.0 * val
 
 
@@ -274,8 +280,11 @@ def resolvent_pair(f: TestFunction, g: TestFunction, c: float, *,
     if f.nu != g.nu:
         raise DimensionMismatch(f"{f.nu} vs {g.nu}")
     split = max(1.0, 1.0 / (2 * c))
-    val = _quad_complex(lambda u: np.exp(-2 * c * u) * heat_pair(f, g, u), 0.0, split, rtol)
-    val += _quad_complex(lambda u: np.exp(-2 * c * u) * heat_pair(f, g, u), split, np.inf, rtol)
+    real = f == g
+    val = _quad_complex(lambda u: np.exp(-2 * c * u) * heat_pair(f, g, u), 0.0, split,
+                        rtol, real=real)
+    val += _quad_complex(lambda u: np.exp(-2 * c * u) * heat_pair(f, g, u), split, np.inf,
+                         rtol, real=real)
     return 2.0 * val
 
 
@@ -308,7 +317,7 @@ def _critical_pair_correction(pref, a0, b, c_sum, nu, beta_h, *, shift=0.0,
         return pref * np.exp(c_sum) * surf * val
 
     def gh_eval(n):
-        x, w = np.polynomial.hermite.hermgauss(n)
+        x, w = gauss_hermite(n)
         # per-axis transform p = m + x / sqrt(a0): residual factor is a pure
         # oscillation exp(i Im(b) x / sqrt(a0)) times a constant
         axis_vals = []
@@ -416,7 +425,7 @@ def axis_sine_overlaps(center: float, sigma: float, wave: float, L: float,
     nodes = int(max(64, 7 * cycles + 10 * (hi - lo) / sigma + 32))
 
     def run(npts):
-        x, w = roots_legendre(npts)
+        x, w = gauss_legendre(npts)
         x = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * w
         g = np.exp(1j * wave * x - (x - center) ** 2 / (2 * sigma ** 2))
@@ -473,7 +482,7 @@ def restricted_norm_sq(f: TestFunction, L: float) -> float:
                 width = hi - lo
                 cyc = abs(t.wave[i] - s.wave[i]) * width / (2 * math.pi)
                 npts = int(max(96, 7 * cyc + 12 * width / min(s.sigma, t.sigma) + 48))
-                x, w = roots_legendre(npts)
+                x, w = gauss_legendre(npts)
                 x = 0.5 * width * x + 0.5 * (hi + lo)
                 w = 0.5 * width * w
                 vals = np.exp(

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import zeta
 
 from weylgas import spectrum as sp
 from weylgas.errors import DomainViolation, InvalidIndex, InvalidSpec, \
@@ -87,28 +89,6 @@ def test_gaussian_axis_tail_bound():
         sp.gaussian_axis_tail(0.0, 4)
 
 
-def test_tail_integral_one_dimension_closed_form():
-    # nu=1: integral over (big, inf) of u^{-2s} du = big^{1-2s}/(2s-1)
-    assert sp._tail_integral(2.0, 1, 10.0) == pytest.approx(1e-3 / 3, rel=1e-12)
-    assert sp._tail_integral(1.3, 1, 25.0) == pytest.approx(
-        25.0 ** -1.6 / 1.6, rel=1e-6)
-
-
-def test_tail_integral_two_dimensions_against_quadrature():
-    # nu=2, s=2: complement of (1/2, big]^2 in (1/2, inf)^2, split by the
-    # first coordinate that exceeds big
-    big = 6.0
-
-    def inner_from(a, x):
-        # int_a^inf (x^2+y^2)^{-2} dy in closed form
-        return math.pi / (4 * x ** 3) - a / (2 * x * x * (x * x + a * a)) \
-            - math.atan(a / x) / (2 * x ** 3)
-
-    oracle = quad(lambda x: inner_from(big, x), 0.5, big, limit=300)[0] \
-        + quad(lambda x: inner_from(0.5, x), big, np.inf, limit=300)[0]
-    assert sp._tail_integral(2.0, 2, big) == pytest.approx(oracle, rel=1e-7)
-
-
 def test_trace_power_convergent_branch():
     spec = sp.BoxSpectrum(L=1.0, nu=3, cutoff=60)
     val, ok = sp.trace_h_power(2.0, spec)
@@ -125,10 +105,48 @@ def test_trace_power_convergent_branch():
 
     oracle = quad(lambda t: t * theta(t) ** 3, 0, np.inf, limit=400)[0] \
         * sp.kappa(1.0) ** -2.0
-    assert val == pytest.approx(oracle, rel=2e-6)
+    assert val == pytest.approx(oracle, rel=1e-10)
     # stable under cutoff doubling
     val2, _ = sp.trace_h_power(2.0, sp.BoxSpectrum(L=1.0, nu=3, cutoff=120))
     assert abs(val2 - val) <= 1e-6 * abs(val)
+
+
+@pytest.mark.parametrize("s", [0.6, 1.0, 2.0, 3.5, 12.0])
+def test_trace_power_one_dimension_is_zeta(s):
+    # sum_{n >= 1} (kappa n^2)^{-s} = kappa^{-s} zeta(2s)
+    L = 1.7
+    val, ok = sp.trace_h_power(s, sp.BoxSpectrum(L=L, nu=1, cutoff=5))
+    assert ok
+    assert val == pytest.approx(sp.kappa(L) ** -s * zeta(2 * s), rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [1.05, 1.5, 2.0, 3.0])
+def test_trace_power_two_dimensions_against_dirichlet_beta(s):
+    # sum over Z^2 minus the origin of |n|^{-2s} is 4 zeta(s) beta(s); the
+    # quadrant n >= 1 is a quarter of it less the axes, 4 zeta(2s)
+    beta = 4.0 ** -s * (zeta(s, 0.25) - zeta(s, 0.75))
+    val, ok = sp.trace_h_power(s, sp.BoxSpectrum(L=1.0, nu=2, cutoff=5))
+    assert ok
+    want = sp.kappa(1.0) ** -s * (zeta(s) * beta - zeta(2 * s))
+    assert val == pytest.approx(want, rel=1e-12)
+
+
+def test_trace_power_four_dimensions_bracketed():
+    s, n_max = 2.5, 48
+    t0 = time.perf_counter()
+    val, ok = sp.trace_h_power(s, sp.BoxSpectrum(L=1.0, nu=4, cutoff=10))
+    elapsed = time.perf_counter() - t0
+    assert ok and elapsed < 1.0
+    # direct sum of |n|^{-5} over [1..n_max]^4, one first-axis slice at a time
+    ns = np.arange(1, n_max + 1, dtype=float)
+    rest = (ns[:, None, None] ** 2 + ns[None, :, None] ** 2 + ns[None, None, :] ** 2)
+    partial = sum(float(np.sum((a * a + rest) ** -s)) for a in ns)
+    # integral test: each omitted point has a coordinate > n_max and is
+    # dominated by its unit cell below it, which lies in |x| >= n_max of the
+    # positive orthant: (|S^3| / 16) int_{n_max}^inf r^{3-2s} dr
+    tail = (2 * math.pi ** 2 / 16) * n_max ** (4 - 2 * s) / (2 * s - 4)
+    scaled = val * sp.kappa(1.0) ** s
+    assert partial < scaled <= partial + tail
 
 
 def test_trace_power_divergent_branch_grows():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,12 @@ def mix3():
     """A two-term complex mixture used as the generic fixture."""
     return tf.gaussian(0.1, (0, 0, 0), 1.0) \
         + tf.gaussian(0.04 - 0.03j, (0.5, -0.2, 0.1), 0.7, (1.2, 0, -0.5))
+
+
+def mix_three():
+    """A three-term mixture: the imaginary part of its diagonal pairings is
+    zero up to rounding noise."""
+    return mix3() + tf.gaussian(-0.05 + 0.02j, (-0.3, 0.4, 0.0), 0.5, (0.0, 0.8, 0.3))
 
 
 def test_evaluate_at_center():
@@ -230,3 +237,21 @@ def test_arithmetic_and_json_round_trip():
     assert tf.evaluate(back, xs) == pytest.approx(tf.evaluate(h, xs), rel=1e-15)
     with pytest.raises(DimensionMismatch):
         f + tf.gaussian(1.0, (0,), 1.0)
+
+
+@pytest.mark.parametrize("pair", [lambda f, g: tf.resolvent_pair(f, g, 0.3),
+                                  tf.invham_pair], ids=["resolvent", "invham"])
+def test_diagonal_pairing_of_three_terms_is_real_and_fast(pair):
+    f = mix_three()
+    t0 = time.perf_counter()
+    val = pair(f, f)
+    assert time.perf_counter() - t0 < 1.0
+    assert val.imag == 0.0
+    # an equal mixture held in another object is a diagonal pair too
+    t0 = time.perf_counter()
+    assert pair(f, tf.TestFunction(3, f.terms)) == val
+    assert time.perf_counter() - t0 < 1.0
+    singles = [tf.TestFunction(3, (t,)) for t in f.terms]
+    bilinear = sum(pair(a, b) for a in singles for b in singles)
+    assert val.real == pytest.approx(bilinear.real, rel=1e-10)
+    assert abs(bilinear.imag) <= 1e-10 * abs(bilinear.real)
