@@ -235,24 +235,19 @@ def kms_residual(spec: st.StateSpec, deriv: WeakDerivationSpec, f, g, *,
     residual shrinks consistently under step halving (Richardson factor
     near 4, the signature of an O(dt^2) defect).
     """
-    st.validate_spec(spec)
     if spec.kind not in st.CLASSICAL_KINDS:
         raise InvalidSpec("weak KMS residuals are defined for classical kinds")
     if isinstance(f, Mapping) != isinstance(g, Mapping):
         raise TypeError("f and g must both be mode mappings or both TestFunctions")
 
-    if isinstance(f, Mapping):
-        sig = st.mode_sigma(g, f)
-        x = _merge_maps(f, g)
-    else:
-        sig = tf.inner_product(g, f).imag
-        x = f + g
+    sig = st._sigma(g, f)
+    x = _merge_maps(f, g) if isinstance(f, Mapping) else f + g
     k = _apply_derivation(deriv, f, spec)
 
     if mode == "analytic":
+        # omega(Phi(k) W(x)) = i Re B(x, k) omega(W(x)), and omega(W(x)) > 0
         omega = st.weyl_expectation(spec, x, rtol=rtol)
-        field = st.field_weyl_expectation(spec, k, x, rtol=rtol)
-        return abs(sig * omega - 1j * spec.beta * field)
+        return abs(sig + spec.beta * st._form(spec, x, k, rtol).real) * omega
 
     if mode != "fd":
         raise DomainViolation(f"mode must be 'analytic' or 'fd', got {mode!r}")

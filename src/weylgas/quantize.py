@@ -134,7 +134,6 @@ def pullback_expectation(spec: st.StateSpec, a: alg.WeylElement, basis,
     """
     if a.hbar != 0.0:
         raise NonzeroHbar("pullback acts on hbar = 0 elements")
-    st.validate_spec(spec)
     if spec.kind not in st.QUANTUM_KINDS:
         raise InvalidSpec("pullback targets quantum state kinds")
     h = spec.h

@@ -15,6 +15,7 @@ the bound is checked against the caller's tolerance.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -44,8 +45,8 @@ class BoxSpectrum:
     cutoff: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise InvalidSpec(f"box half-width must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise InvalidSpec(f"box half-width must be positive and finite, got {self.L}")
         if self.nu < 1:
             raise InvalidSpec(f"nu must be >= 1, got {self.nu}")
         if self.cutoff < 1:
@@ -53,7 +54,10 @@ class BoxSpectrum:
 
 
 def kappa(L: float) -> float:
-    return math.pi ** 2 / (8.0 * L ** 2)
+    try:
+        return math.pi ** 2 / (8.0 * L ** 2)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainViolation(f"kappa(L) leaves the float range at L = {L}") from None
 
 
 def eigenvalue(n: Sequence[int], L: float):
@@ -71,7 +75,10 @@ def eigenvalue(n: Sequence[int], L: float):
 
 
 def ground_energy(L: float, nu: int) -> float:
-    return kappa(L) * nu
+    try:
+        return kappa(L) * nu
+    except OverflowError:
+        raise DomainViolation(f"ground energy leaves the float range at nu = {nu}") from None
 
 
 def volume(L: float, nu: int) -> float:
@@ -195,9 +202,9 @@ def _theta_mellin(s: float, nu: int) -> tuple[float, float]:
     integrated in closed form and the nonnegative remainder
     (P + R)^nu - P^nu by quad.  On [pi, inf) the direct series is
     integrated by quad.  Working with nu^s keeps J of order one for
-    large s.  The estimate covers the quadrature only; rounding in the
-    integrands' exponents adds about s log(s) ulps, which stays below
-    1e-12 of J for s up to about 1000.
+    large s.  Rounding in the integrands' O(s log s) exponents adds about
+    s log(s) ulps of J, which the estimate includes; it passes 1e-12 of J
+    near s = 700.
     """
     log_pref = s * math.log(nu) - math.lgamma(s)
     # int_0^pi t^{s-1} P^nu dt; the alternating binomial sum over
@@ -232,7 +239,7 @@ def _theta_mellin(s: float, nu: int) -> tuple[float, float]:
             v, e = quad(fn, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
             value += v
             err += e
-    return value, err
+    return value, err + max(s * math.log(s), 1.0) * sys.float_info.epsilon * value
 
 
 def trace_h_power(s: float, spec: BoxSpectrum) -> tuple[float, bool]:
@@ -241,9 +248,10 @@ def trace_h_power(s: float, spec: BoxSpectrum) -> tuple[float, bool]:
     converged is True iff 2 s > nu (integral test).  In the convergent case
     the value is the full trace sum over all n >= 1 of E_n^{-s}, from the
     Jacobi-theta Mellin integral of ``_theta_mellin``; the cutoff is
-    ignored, and QuadratureFailure is raised when the summed quad error
-    estimates exceed 1e-12 of the value.  The divergent case returns the
-    partial sum over [1..cutoff]^nu, which grows without bound.
+    ignored, and QuadratureFailure is raised when its error estimate
+    (quadrature plus rounding) exceeds 1e-12 of the value.  The divergent
+    case returns the partial sum over [1..cutoff]^nu, which grows without
+    bound.  DomainViolation is raised when the value leaves the float range.
     """
     if s <= 0:
         raise DomainViolation("exponent must be positive")
@@ -251,13 +259,19 @@ def trace_h_power(s: float, spec: BoxSpectrum) -> tuple[float, bool]:
     converged = 2.0 * s > spec.nu
 
     if not converged:
-        value = _grid_sum(lambda *ns: (k * sum(n * n for n in ns)) ** (-s),
-                          spec.cutoff, spec.nu)
-        return value, converged
-
-    scaled, err = _theta_mellin(s, spec.nu)
-    if not err <= 1e-12 * scaled:
-        raise QuadratureFailure(
-            f"theta-Mellin trace error estimate {err:.3e} exceeds 1e-12 of "
-            f"{scaled:.6e} (s={s}, nu={spec.nu})")
-    return ground_energy(spec.L, spec.nu) ** (-s) * scaled, converged
+        with np.errstate(over="ignore"):
+            value = _grid_sum(lambda *ns: (k * sum(n * n for n in ns)) ** (-s),
+                              spec.cutoff, spec.nu)
+    else:
+        scaled, err = _theta_mellin(s, spec.nu)
+        if not err <= 1e-12 * scaled:
+            raise QuadratureFailure(
+                f"theta-Mellin trace error estimate {err:.3e} exceeds 1e-12 of "
+                f"{scaled:.6e} (s={s}, nu={spec.nu})")
+        try:
+            value = ground_energy(spec.L, spec.nu) ** (-s) * scaled
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise DomainViolation(f"the trace of H^-{s} leaves the float range at L = {spec.L}")
+    return value, converged

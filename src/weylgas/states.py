@@ -1,34 +1,43 @@
 """Quasi-free equilibrium states of the free Bose gas on Weyl generators.
 
-Six families, each defined by the value it assigns to a Weyl generator
-W(f) (classical kinds act on hbar = 0 labels, quantum kinds on hbar = h):
+Every family is quasi-free: it assigns a Weyl generator W(f) (classical
+kinds act on hbar = 0 labels, quantum kinds on hbar = h) the value
 
-  QuantumBoxGibbs      exp(-(h/4) sum_n |<psi_n,f>|^2 (1+x_n)/(1-x_n)),
-                       x_n = exp(-beta h (E_n - mu)), mu < E_ground
-  QuantumInfVol        exp(-(h/4) J(f)), J the thermal momentum form at
-                       fugacity exp(beta h mu), mu <= 0
-  QuantumCondensate    exp(-(h/4)[J_0(f) + 2^{nu+1}(rho_bar - rho_c)|int f|^2]),
-                       J_0 the critical (mu = 0) form, rho_bar >= rho_c
-  ClassicalBoxGibbs    exp(-(1/(2 beta)) sum_n |<psi_n,f>|^2/(E_n - mu))
-  ClassicalInfVol      exp(-(1/(2 beta)) <f, (H - mu)^{-1} f>), mu <= 0
-  ClassicalCondensate  exp(-(1/2)[(1/beta) <f, H^{-1} f> + 2^nu alpha |int f|^2])
+    omega(W(f)) = exp(-c B(f, f)),   B(f, g) = <f, F g> + r conj(int f) int g,
 
-Box arguments are either TestFunction objects (overlaps computed with
-certified index-tail bounds) or finite mode-coefficient mappings
-{multi-index: coeff}.  Continuum arguments are TestFunction objects.
+with a prefactor c, a one-particle weight F of the energy E (box modes E_n,
+or p^2/2 in the continuum) and a condensate weight r.  With
+x = exp(-beta h (E - mu)):
 
-The quantum condensate carries the ground term with coefficient 2^{nu+1}
-inside the (h/4)-exponent: the two-point function contributes
-2^nu h (rho_bar - rho_c) |int f|^2 and the Weyl exponent is half the
-two-point quadratic form, which doubles the relative weight against the
-(h/4)-normalized thermal part.  With this normalization the h -> 0 limit
-reproduces ClassicalCondensate with alpha = lim h (rho_bar(h) - rho_c(beta h)).
+  kind                 c     F(E)                                    r
+  QuantumBoxGibbs      h/4   (1+x)/(1-x) = coth(beta h (E - mu)/2)   0
+  QuantumInfVol        h/4   (1+x)/(1-x)                             0
+  QuantumCondensate    h/4   (1+x)/(1-x) at mu = 0                   2^{nu+1}(rho_bar - rho_c)
+  ClassicalBoxGibbs    1/2   1/(beta (E - mu))                       0
+  ClassicalInfVol      1/2   1/(beta (E - mu))                       0
+  ClassicalCondensate  1/2   1/(beta E)                              2^nu alpha
+
+The box kinds need mu < E_ground, the infinite-volume kinds mu <= 0
+(mu = 0 only for nu >= 3), the condensates nu >= 3 and rho_bar >= rho_c
+or alpha >= 0 (alpha = inf restricts the state to labels of zero mean).
+As h -> 0, c F = (h/4) coth(beta h (E - mu)/2) -> 1/(2 beta (E - mu)):
+each quantum row goes over to the classical row of the same family.
+The quantum ground weight carries 2^{nu+1} because the two-point function
+contributes 2^nu h (rho_bar - rho_c) |int f|^2 and the Weyl exponent is
+half of it against the (h/4)-normalized thermal part; the h -> 0 limit is
+then ClassicalCondensate with alpha = lim h (rho_bar(h) - rho_c(beta h)).
+
+Box arguments are TestFunction objects (overlaps with certified index-tail
+bounds, for omega(W(f)) only) or finite mode-coefficient mappings
+{multi-index: coeff}.  Continuum arguments are TestFunction objects; the
+classical kinds also pair MultiplierApplied tags.  A StateSpec is
+validated, and its c and r fixed, once at construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,7 +51,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLow,
     DomainViolation,
-    InvalidIndex,
     InvalidSpec,
     TailToleranceExceeded,
 )
@@ -71,15 +79,31 @@ class StateSpec:
     alpha: float | None = None
     box: sp.BoxSpectrum | None = None
     nu: int = 3
+    # the prefactor c, the chemical potential F is taken at, and the
+    # condensate weight r of the module docstring's table
+    _c: float = field(init=False, repr=False, compare=False)
+    _mu: float = field(init=False, repr=False, compare=False)
+    _r: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def space_dim(self) -> int:
-        return self.box.nu if self.box is not None else self.nu
+    def __post_init__(self):
+        r = validate_spec(self)
+        condensate = self.kind.endswith("Condensate")
+        object.__setattr__(self, "_c", self.h / 4.0 if self.h else 0.5)
+        object.__setattr__(self, "_mu", 0.0 if condensate else self.mu)
+        object.__setattr__(self, "_r", r)
 
 
-def validate_spec(spec: StateSpec) -> None:
+def validate_spec(spec: StateSpec) -> float:
+    """Raise a ValidationError unless ``spec`` is a valid state; return its
+    condensate weight r."""
     if spec.kind not in ALL_KINDS:
         raise InvalidSpec(f"unknown state kind {spec.kind!r}")
+    for name in ("beta", "h", "mu", "rho_bar"):
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidSpec(f"{name} must be finite, got {value}")
+    if spec.alpha is not None and math.isnan(spec.alpha):
+        raise InvalidSpec("alpha must not be NaN")
     if spec.beta <= 0:
         raise InvalidSpec(f"beta must be positive, got {spec.beta}")
     quantum = spec.kind in QUANTUM_KINDS
@@ -97,7 +121,8 @@ def validate_spec(spec: StateSpec) -> None:
         if spec.mu >= e0:
             raise ChemicalPotentialOutOfRange(
                 f"mu = {spec.mu} must lie below the ground energy {e0}")
-    elif spec.kind in ("QuantumInfVol", "ClassicalInfVol"):
+        return 0.0
+    if spec.kind in ("QuantumInfVol", "ClassicalInfVol"):
         if spec.mu is None:
             raise InvalidSpec(f"{spec.kind} requires mu")
         if spec.mu > 0:
@@ -105,37 +130,26 @@ def validate_spec(spec: StateSpec) -> None:
                 f"{spec.kind} requires mu <= 0, got {spec.mu}")
         if spec.mu == 0 and spec.nu < 3:
             raise DimensionTooLow("mu = 0 requires nu >= 3")
-    elif spec.kind == "QuantumCondensate":
-        if spec.nu < 3:
-            raise DimensionTooLow("condensate states require nu >= 3")
+        return 0.0
+    if spec.nu < 3:
+        raise DimensionTooLow("condensate states require nu >= 3")
+    if spec.kind == "QuantumCondensate":
         if spec.rho_bar is None:
             raise InvalidSpec("QuantumCondensate requires rho_bar")
         rc = critical_density(spec.beta, spec.h, spec.nu)
         if spec.rho_bar < rc * (1 - 1e-12):
             raise InvalidSpec(
                 f"rho_bar = {spec.rho_bar} below critical density {rc}")
-    elif spec.kind == "ClassicalCondensate":
-        if spec.nu < 3:
-            raise DimensionTooLow("condensate states require nu >= 3")
-        if spec.alpha is None or (spec.alpha < 0):
-            raise InvalidSpec("ClassicalCondensate requires alpha >= 0")
+        return 2.0 ** (spec.nu + 1) * max(spec.rho_bar - rc, 0.0)
+    if spec.alpha is None or spec.alpha < 0:
+        raise InvalidSpec("ClassicalCondensate requires alpha >= 0")
+    try:
+        return math.ldexp(spec.alpha, spec.nu)
+    except OverflowError:
+        raise InvalidSpec(f"2^nu alpha overflows at nu = {spec.nu}") from None
 
 
 # -- mode-coefficient arguments ----------------------------------------------
-
-def _mode_items(f: Mapping, nu: int):
-    modes = []
-    coeffs = []
-    for n, c in f.items():
-        n = tuple(int(v) for v in n)
-        if len(n) != nu:
-            raise DimensionMismatch(f"mode {n} in a nu={nu} box")
-        if any(v < 1 for v in n):
-            raise InvalidIndex(f"mode indices must be >= 1, got {n}")
-        modes.append(n)
-        coeffs.append(complex(c))
-    return modes, np.asarray(coeffs, dtype=complex)
-
 
 def mode_sigma(f: Mapping, g: Mapping) -> float:
     """Im<f, g> for mode-coefficient mappings."""
@@ -147,6 +161,17 @@ def mode_sigma(f: Mapping, g: Mapping) -> float:
 
 def mode_norm_sq(f: Mapping) -> float:
     return float(sum(abs(complex(c)) ** 2 for c in f.values()))
+
+
+def _mode_vectors(box: sp.BoxSpectrum, f: Mapping, g: Mapping):
+    """Coefficient vectors of f and g on their joint support, and its energies."""
+    modes = sorted(set(f) | set(g))
+    for n in modes:
+        if len(n) != box.nu:
+            raise DimensionMismatch(f"mode {n} in a nu={box.nu} box")
+    en = np.array([sp.eigenvalue(n, box.L) for n in modes])
+    fv, gv = (np.array([complex(m.get(n, 0.0)) for n in modes]) for m in (f, g))
+    return fv, gv, en
 
 
 # -- box overlap quadratic forms ----------------------------------------------
@@ -189,12 +214,20 @@ def _axis_tail_sq_bound(center: float, sigma: float, wave: float,
     return gauss + poly
 
 
-def _box_quadform(f: tf.TestFunction, box: sp.BoxSpectrum, factor,
-                  tail_factor_sup, tail_tol: float) -> tuple[float, float]:
-    """sum_n |<psi_n, f>|^2 * factor(E_n) over [1..cutoff]^nu plus a
-    certified tail bound.  ``factor`` maps an ndarray of energies to weights;
-    ``tail_factor_sup`` bounds the factor beyond the cutoff shell.
-    """
+def _box_weight(spec: StateSpec, e, exp=np.exp):
+    """F at box energies e: an ndarray, or the scalar tail energy with
+    ``exp`` = math.exp."""
+    if spec.h:
+        x = exp(-spec.beta * spec.h * (e - spec.mu))
+        return (1.0 + x) / (1.0 - x)
+    return 1.0 / (spec.beta * (e - spec.mu))
+
+
+def _box_quadform(f: tf.TestFunction, spec: StateSpec,
+                  tail_tol: float) -> tuple[float, float]:
+    """B(f, f) = sum_n |<psi_n, f>|^2 F(E_n) over [1..cutoff]^nu plus a
+    certified tail bound."""
+    box = spec.box
     if f.nu != box.nu:
         raise DimensionMismatch(f"test function nu={f.nu} on a nu={box.nu} box")
     C = box.cutoff
@@ -217,20 +250,23 @@ def _box_quadform(f: tf.TestFunction, box: sp.BoxSpectrum, factor,
                 for t in f.terms]
     tables = [[table for table, _, _ in term] for term in per_term]
 
-    # certified tail of the overlap-squared sum (Cauchy-Schwarz over terms)
+    # certified tail of the overlap-squared sum (Cauchy-Schwarz over terms);
+    # F decreases in E, so its value at the lowest energy beyond the cutoff
+    # shell bounds the weight of every discarded mode
     n_terms = len(f.terms)
     tail_sq = 0.0
     for t, term in zip(f.terms, per_term):
         gross = math.prod(sq + bound for _, sq, bound in term) \
             - math.prod(sq for _, sq, _ in term)
         tail_sq += abs(t.amp) ** 2 * gross
-    tail = tail_factor_sup * L ** (-box.nu) * n_terms * tail_sq
+    e_tail = k * ((C + 1) ** 2 + box.nu - 1)
+    tail = _box_weight(spec, e_tail, math.exp) * L ** (-box.nu) * n_terms * tail_sq
     if not math.isfinite(tail) or tail > tail_tol:
         raise TailToleranceExceeded(
             f"certified box tail {tail:.3e} exceeds tolerance {tail_tol:.3e} "
             f"at cutoff {C}")
 
-    # chunked accumulation of |sum_t amp_t prod_i o_i|^2 * factor(E)
+    # chunked accumulation of |sum_t amp_t prod_i o_i|^2 * F(E)
     nu = box.nu
     axes_idx = np.arange(1, C + 1, dtype=float)
     block = max(1, int(2_000_000 // max(1, C ** (nu - 1))))
@@ -250,106 +286,77 @@ def _box_quadform(f: tf.TestFunction, box: sp.BoxSpectrum, factor,
             shape = [1] * nu
             shape[i] = -1
             esq = esq + (axes_idx ** 2).reshape(shape)
-        total += float(np.sum(np.abs(ov) ** 2 * factor(k * esq)))
+        total += float(np.sum(np.abs(ov) ** 2 * _box_weight(spec, k * esq)))
     return L ** (-box.nu) * total, tail
 
 
-def _bose_ratio(x):
-    return (1.0 + x) / (1.0 - x)
+# -- the covariance form B -------------------------------------------------------
 
-
-def _quantum_box_exponent(spec: StateSpec, f, tail_tol: float) -> tuple[float, float]:
-    """sum |<psi_n,f>|^2 (1+x_n)/(1-x_n) and its tail bound."""
-    box = spec.box
-    bh = spec.beta * spec.h
-    if isinstance(f, Mapping):
-        modes, coeffs = _mode_items(f, box.nu)
-        en = np.array([sp.eigenvalue(n, box.L) for n in modes])
-        x = np.exp(-bh * (en - spec.mu))
-        return float(np.sum(np.abs(coeffs) ** 2 * _bose_ratio(x))), 0.0
-    e_tail = sp.kappa(box.L) * ((box.cutoff + 1) ** 2 + box.nu - 1)
-    x_sup = math.exp(-bh * (e_tail - spec.mu))
-    return _box_quadform(
-        f, box,
-        lambda e: _bose_ratio(np.exp(-bh * (e - spec.mu))),
-        _bose_ratio(x_sup), tail_tol)
-
-
-def _classical_box_exponent(spec: StateSpec, f, tail_tol: float) -> tuple[float, float]:
-    """sum |<psi_n,f>|^2 / (beta (E_n - mu)) and its tail bound."""
-    box = spec.box
-    if isinstance(f, Mapping):
-        modes, coeffs = _mode_items(f, box.nu)
-        en = np.array([sp.eigenvalue(n, box.L) for n in modes])
-        return float(np.sum(np.abs(coeffs) ** 2 / (spec.beta * (en - spec.mu)))), 0.0
-    e_tail = sp.kappa(box.L) * ((box.cutoff + 1) ** 2 + box.nu - 1)
-    return _box_quadform(
-        f, box,
-        lambda e: 1.0 / (spec.beta * (e - spec.mu)),
-        1.0 / (spec.beta * (e_tail - spec.mu)), tail_tol)
-
-
-# -- continuum quadratic forms --------------------------------------------------
-
-def _resolvent_form(f: tf.TestFunction, g: tf.TestFunction, mu: float,
-                    rtol: float) -> complex:
-    """<f, (H - mu)^{-1} g> for mu <= 0 (mu = 0 requires nu >= 3)."""
-    if mu < 0:
-        return tf.resolvent_pair(f, g, -mu, rtol=rtol)
-    return tf.invham_pair(f, g, rtol=rtol)
-
-
-def _cov_pair(spec: StateSpec, a, b, rtol: float) -> complex:
-    """<a, S b> with S the state's inverse-generator covariance:
-    S = (H - mu)^{-1} for the infinite-volume Gibbs kinds, H^{-1} for the
-    condensate kinds.  Either side may be a MultiplierApplied tag
-    scale (H - shift) fn, which is reduced analytically against S.
+def _cov_pair(mu: float, a, b, rtol: float) -> complex:
+    """<a, (H - mu)^{-1} b>.  Either side may be a MultiplierApplied tag
+    scale (H - shift) fn.  With P_a(H) = H - shift_a on a tagged side and
+    P_a = 1 otherwise, P_a(H) P_b(H) = q(H) (H - mu) + P_a(mu) P_b(mu), so
+    only the remainder P_a(mu) P_b(mu) needs the resolvent.
     """
-    mu = 0.0 if spec.kind.endswith("Condensate") else float(spec.mu)
-
-    if isinstance(a, tf.TestFunction) and isinstance(b, tf.TestFunction):
-        return _resolvent_form(a, b, mu, rtol)
-
-    if isinstance(a, tf.TestFunction) and isinstance(b, tf.MultiplierApplied):
-        # S scale (H - shift) f  =  scale [ f + (mu - shift) S f ]
-        base = tf.inner_product(a, b.fn)
-        if mu != b.shift:
-            base += (mu - b.shift) * _resolvent_form(a, b.fn, mu, rtol)
-        return b.scale * base
-
-    if isinstance(a, tf.MultiplierApplied) and isinstance(b, tf.TestFunction):
-        base = tf.inner_product(a.fn, b)
-        if mu != a.shift:
-            base += (mu - a.shift) * _resolvent_form(a.fn, b, mu, rtol)
-        return a.scale.conjugate() * base
-
-    if isinstance(a, tf.MultiplierApplied) and isinstance(b, tf.MultiplierApplied):
-        # <(H-s_a) u, S (H-s_b) v> = <u, (H-s_a)(H-s_b)(H-mu)^{-1} v>
-        # with (H-s_a)(H-s_b)/(H-mu) = (H-mu) + (2mu - s_a - s_b)
-        #                              + (mu-s_a)(mu-s_b)/(H-mu)
-        u, v = a.fn, b.fn
-        val = tf.ham_pair(u, v) - mu * tf.inner_product(u, v)
-        val += (2 * mu - a.shift - b.shift) * tf.inner_product(u, v)
-        if mu != a.shift and mu != b.shift:
-            val += (mu - a.shift) * (mu - b.shift) * _resolvent_form(u, v, mu, rtol)
-        return a.scale.conjugate() * b.scale * val
-
-    raise TypeError("covariance pairing expects TestFunction or MultiplierApplied")
+    (u, sa, xa), (v, sb, xb) = ((t.fn, t.scale, t.shift) if isinstance(t, tf.MultiplierApplied)
+                                else (t, 1.0, None) for t in (a, b))
+    rem = (1.0 if xa is None else mu - xa) * (1.0 if xb is None else mu - xb)
+    val = 0.0
+    if rem:
+        # mu = 0 (inverse H) requires nu >= 3
+        val = rem * (tf.resolvent_pair(u, v, -mu, rtol=rtol) if mu < 0
+                     else tf.invham_pair(u, v, rtol=rtol))
+    if xa is not None and xb is not None:
+        # q(H) = H + mu - shift_a - shift_b
+        val += tf.ham_pair(u, v) + (mu - xa - xb) * tf.inner_product(u, v)
+    elif xa is not None or xb is not None:
+        val += tf.inner_product(u, v)
+    return sa.conjugate() * sb * val
 
 
-def _classical_quadform_pair(spec: StateSpec, a, b, rtol: float) -> complex:
-    """Q(a, b) with omega(W(u)) = exp(-Q(u, u)/2) for the classical kinds."""
-    val = _cov_pair(spec, a, b, rtol) / spec.beta
-    if spec.kind == "ClassicalCondensate" and spec.alpha:
-        ia = tf.integral_of(a)
-        ib = tf.integral_of(b)
-        val += 2 ** spec.nu * spec.alpha * ia.conjugate() * ib
+def _pair(spec: StateSpec, a, b, rtol: float) -> complex:
+    """<a, F b>: a mode sum (box kinds), the thermal momentum form
+    (quantum continuum) or the resolvent form over beta (classical)."""
+    if spec.kind in _BOX_KINDS:
+        if not (isinstance(a, Mapping) and isinstance(b, Mapping)):
+            raise TypeError("box pair forms take mode mappings")
+        av, bv, en = _mode_vectors(spec.box, a, b)
+        return complex(np.sum(av.conjugate() * bv * _box_weight(spec, en)))
+    for u in (a, b):
+        fn = u.fn if isinstance(u, tf.MultiplierApplied) and not spec.h else u
+        if not isinstance(fn, tf.TestFunction):
+            raise TypeError(f"{spec.kind} expects TestFunction arguments")
+        if fn.nu != spec.nu:
+            raise DimensionMismatch(f"test function nu={fn.nu}, state nu={spec.nu}")
+    if spec.h:
+        return complex(tf.thermal_pair(a, b, spec.beta, spec.h, spec._mu, rtol=rtol))
+    return _cov_pair(spec._mu, a, b, rtol) / spec.beta
+
+
+def _ground(spec: StateSpec, ia: complex, ib: complex) -> complex:
+    """r conj(ia) ib for the means ia, ib.  alpha = inf makes r infinite:
+    means up to 1e-14 then count as zero and any larger one costs inf."""
+    if math.isinf(spec._r):
+        return 0.0 if max(abs(ia), abs(ib)) <= 1e-14 else math.inf
+    return spec._r * ia.conjugate() * ib
+
+
+def _form(spec: StateSpec, a, b, rtol: float = 1e-12) -> complex:
+    """B(a, b) = <a, F b> + r conj(int a) int b."""
+    val = _pair(spec, a, b, rtol)
+    if spec._r:
+        val += _ground(spec, tf.integral_of(a), tf.integral_of(b))
     return val
+
+
+def _sigma(f, g) -> float:
+    """sigma(f, g) = Im<f, g>."""
+    return mode_sigma(f, g) if isinstance(f, Mapping) else tf.inner_product(f, g).imag
 
 
 def weyl_expectation(spec: StateSpec, f, *, tail_tol: float = 1e-9,
                      rtol: float = 1e-12) -> float:
-    """omega(W(f)) for the given family.
+    """omega(W(f)) = exp(-c B(f, f)).
 
     ``f`` is a TestFunction (any kind) or a mode-coefficient mapping (box
     kinds).  Box TestFunction arguments carry a certified tail bound on the
@@ -363,130 +370,71 @@ def weyl_expectation_with_tail(spec: StateSpec, f, *, tail_tol: float = 1e-9,
                                rtol: float = 1e-12) -> tuple[float, float]:
     """omega(W(f)) together with the certified bound on the truncated
     exponent (0.0 for closed-form and finite-mode evaluations)."""
-    validate_spec(spec)
-    kind = spec.kind
-
-    if kind == "QuantumBoxGibbs":
-        expo, tail = _quantum_box_exponent(spec, f, tail_tol)
-        return math.exp(-spec.h / 4.0 * expo), tail
-
-    if kind == "ClassicalBoxGibbs":
-        expo, tail = _classical_box_exponent(spec, f, tail_tol)
-        return math.exp(-expo / 2.0), tail
-
-    if not isinstance(f, tf.TestFunction):
-        raise TypeError(f"{kind} expects a TestFunction argument")
-    if f.nu != spec.nu:
-        raise DimensionMismatch(f"test function nu={f.nu}, state nu={spec.nu}")
-
-    if kind == "QuantumInfVol":
-        j = tf.thermal_pair(f, f, spec.beta, spec.h, spec.mu, rtol=rtol).real
-        return math.exp(-spec.h / 4.0 * j), 0.0
-
-    if kind == "QuantumCondensate":
-        j = tf.thermal_pair(f, f, spec.beta, spec.h, 0.0, rtol=rtol).real
-        rc = critical_density(spec.beta, spec.h, spec.nu)
-        ground = 2.0 ** (spec.nu + 1) * max(spec.rho_bar - rc, 0.0) \
-            * abs(tf.space_integral(f)) ** 2
-        return math.exp(-spec.h / 4.0 * (j + ground)), 0.0
-
-    if kind == "ClassicalInfVol":
-        q = _resolvent_form(f, f, spec.mu, rtol).real / spec.beta
-        return math.exp(-q / 2.0), 0.0
-
-    if kind == "ClassicalCondensate":
-        if spec.alpha == math.inf:
-            if abs(tf.space_integral(f)) > 1e-14:
-                return 0.0, 0.0
-            q = tf.invham_pair(f, f, rtol=rtol).real / spec.beta
-            return math.exp(-q / 2.0), 0.0
-        q = _classical_quadform_pair(spec, f, f, rtol).real
-        return math.exp(-q / 2.0), 0.0
-
-    raise InvalidSpec(f"unknown state kind {kind!r}")
+    if spec.kind in _BOX_KINDS and isinstance(f, tf.TestFunction):
+        expo, tail = _box_quadform(f, spec, tail_tol)
+    else:
+        expo, tail = _form(spec, f, f, rtol).real, 0.0
+    return math.exp(-spec._c * expo), tail
 
 
 def classical_shifted_expectation(spec: StateSpec, x, k, ts, *,
                                   rtol: float = 1e-12) -> np.ndarray:
     """omega(W(x + t k)) for each real t in ``ts`` (classical kinds).
 
-    The three quadratic-form pieces Q(x,x), Re Q(x,k), Q(k,k) are computed
-    once; ``k`` may be a MultiplierApplied tag (continuum) or a mode mapping
-    (box).  Used by the finite-difference weak-KMS check.
+    The three pieces B(x,x), Re B(x,k), B(k,k) are computed once; ``k``
+    may be a MultiplierApplied tag (continuum) or a mode mapping (box).
+    Used by the finite-difference weak-KMS check.
     """
-    validate_spec(spec)
-    if spec.kind not in CLASSICAL_KINDS:
+    if spec.h:
         raise InvalidSpec("shifted evaluation is defined for classical kinds")
     ts = np.asarray(ts, dtype=float)
-
-    if spec.kind == "ClassicalBoxGibbs":
-        if not isinstance(x, Mapping) or not isinstance(k, Mapping):
-            raise TypeError("box shifted evaluation expects mode mappings")
-        keys = sorted(set(x) | set(k))
-        xv = np.array([complex(x.get(n, 0.0)) for n in keys])
-        kv = np.array([complex(k.get(n, 0.0)) for n in keys])
-        en = np.array([sp.eigenvalue(n, spec.box.L) for n in keys])
-        w = 1.0 / (spec.beta * (en - spec.mu))
-        qxx = float(np.sum(np.abs(xv) ** 2 * w))
-        qxk = complex(np.sum(xv.conjugate() * kv * w))
-        qkk = float(np.sum(np.abs(kv) ** 2 * w))
-    else:
-        qxx = _classical_quadform_pair(spec, x, x, rtol).real
-        qxk = _classical_quadform_pair(spec, x, k, rtol)
-        qkk = _classical_quadform_pair(spec, k, k, rtol).real
-
-    return np.exp(-0.5 * (qxx + 2.0 * ts * qxk.real + ts ** 2 * qkk))
+    qxx, qxk, qkk = (_form(spec, a, b, rtol).real for a, b in ((x, x), (x, k), (k, k)))
+    return np.exp(-spec._c * (qxx + 2.0 * ts * qxk + ts ** 2 * qkk))
 
 
 def field_weyl_expectation(spec: StateSpec, k, g, *, rtol: float = 1e-12) -> complex:
     """omega(Phi(k) W(g)) for the classical kinds: the derivative
-    -i d/dt omega(W(g + t k)) at t = 0, evaluated in closed form.
-
-    Equals i Re Q(g, k) omega(W(g)) with Q the state's quadratic form.
+    -i d/dt omega(W(g + t k)) at t = 0, which is i Re B(g, k) omega(W(g)).
     """
-    validate_spec(spec)
-    if spec.kind not in CLASSICAL_KINDS:
+    if spec.h:
         raise InvalidSpec("field insertions are defined for classical kinds")
-
-    if spec.kind == "ClassicalBoxGibbs":
-        if not isinstance(g, Mapping) or not isinstance(k, Mapping):
-            raise TypeError("box field insertion expects mode mappings")
-        keys = sorted(set(g) | set(k))
-        gv = np.array([complex(g.get(n, 0.0)) for n in keys])
-        kv = np.array([complex(k.get(n, 0.0)) for n in keys])
-        en = np.array([sp.eigenvalue(n, spec.box.L) for n in keys])
-        w = 1.0 / (spec.beta * (en - spec.mu))
-        re_q = float(np.sum(gv.conjugate() * kv * w).real)
-        omega = math.exp(-0.5 * float(np.sum(np.abs(gv) ** 2 * w)))
-        return 1j * re_q * omega
-
-    re_q = _classical_quadform_pair(spec, g, k, rtol).real
-    omega, _ = weyl_expectation_with_tail(spec, g, rtol=rtol)
-    return 1j * re_q * omega
+    return 1j * _form(spec, g, k, rtol).real * weyl_expectation(spec, g, rtol=rtol)
 
 
-def two_point(spec: StateSpec, f: Mapping, g: Mapping) -> complex:
-    """omega(Phi(f) Phi(g)) for QuantumBoxGibbs on mode coefficients:
+def two_point(spec: StateSpec, f, g) -> complex:
+    """omega(Phi(f) Phi(g)) = 2c Re B(f, g) + (i h/2) sigma(f, g) on mode
+    mappings (box kinds) or TestFunctions; for QuantumBoxGibbs
 
         (h/2) Re<f, (1+x)/(1-x) g> + (i h/2) sigma(f, g).
     """
-    validate_spec(spec)
-    if spec.kind != "QuantumBoxGibbs":
-        raise InvalidSpec("two-point evaluation is defined for QuantumBoxGibbs")
-    keys = sorted(set(f) | set(g))
-    fv = np.array([complex(f.get(n, 0.0)) for n in keys])
-    gv = np.array([complex(g.get(n, 0.0)) for n in keys])
-    en = np.array([sp.eigenvalue(n, spec.box.L) for n in keys])
-    x = np.exp(-spec.beta * spec.h * (en - spec.mu))
-    pair = complex(np.sum(fv.conjugate() * gv * _bose_ratio(x)))
-    sig = complex(np.sum(fv.conjugate() * gv)).imag
-    return spec.h / 2.0 * pair.real + 1j * spec.h / 2.0 * sig
+    return 2.0 * spec._c * _form(spec, f, g).real + 0.5j * spec.h * _sigma(f, g)
 
 
 # -- densities ------------------------------------------------------------------
 
 def _sphere_area(nu: int) -> float:
     return 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0)
+
+
+def _bose_integral(bh: float, mu: float, nu: int, rtol: float) -> float:
+    """integral d^nu p/(2 pi)^nu 1/(e^{bh (p^2/2 - mu)} - 1) by radial quadrature."""
+    if not 0.0 < bh < math.inf:
+        raise DomainViolation(f"beta h = {bh} leaves the float range")
+
+    def integrand(r):
+        arg = bh * r * r / 2.0 - bh * mu
+        if arg > 700.0:
+            return 0.0
+        return r ** (nu - 1) / np.expm1(arg)
+
+    split = 2.0 / math.sqrt(bh)
+    try:
+        pref = _sphere_area(nu) / (2.0 * math.pi) ** nu
+        v1, _ = quad(integrand, 0.0, split, epsabs=0.0, epsrel=rtol, limit=300)
+        v2, _ = quad(integrand, split, np.inf, epsabs=0.0, epsrel=rtol, limit=300)
+    except OverflowError:
+        raise DomainViolation(f"the Bose integral leaves the float range at nu = {nu}") from None
+    return pref * (v1 + v2)
 
 
 def critical_density(beta: float, h: float, nu: int = 3, *,
@@ -498,21 +446,9 @@ def critical_density(beta: float, h: float, nu: int = 3, *,
     """
     if nu < 3:
         raise DimensionTooLow(f"critical density diverges for nu = {nu} < 3")
-    if beta <= 0 or h <= 0:
-        raise DomainViolation("beta and h must be positive")
-    bh = beta * h
-    pref = _sphere_area(nu) / (2.0 * math.pi) ** nu
-
-    def integrand(r):
-        arg = bh * r * r / 2.0
-        if arg > 700.0:
-            return 0.0
-        return r ** (nu - 1) / np.expm1(arg)
-
-    split = 2.0 / math.sqrt(bh)
-    v1, _ = quad(integrand, 0.0, split, epsabs=0.0, epsrel=rtol, limit=300)
-    v2, _ = quad(integrand, split, np.inf, epsabs=0.0, epsrel=rtol, limit=300)
-    return pref * (v1 + v2)
+    if not (0.0 < beta < math.inf and 0.0 < h < math.inf):
+        raise DomainViolation(f"beta and h must be positive and finite, got {beta}, {h}")
+    return _bose_integral(beta * h, 0.0, nu, rtol)
 
 
 def quantum_density(spec: StateSpec, *, tail_tol: float = 1e-12) -> float:
@@ -522,7 +458,6 @@ def quantum_density(spec: StateSpec, *, tail_tol: float = 1e-12) -> float:
     Infinite volume: the radial Bose integral at fugacity e^{beta h mu}.
     Condensate: rho_bar by definition.
     """
-    validate_spec(spec)
     if spec.kind == "QuantumCondensate":
         return float(spec.rho_bar)
     if spec.kind == "QuantumBoxGibbs":
@@ -532,49 +467,32 @@ def quantum_density(spec: StateSpec, *, tail_tol: float = 1e-12) -> float:
         return value / vol
     if spec.kind != "QuantumInfVol":
         raise InvalidSpec("density is defined for quantum kinds")
-    bh = spec.beta * spec.h
-    nu = spec.nu
-    pref = _sphere_area(nu) / (2.0 * math.pi) ** nu
-
-    def integrand(r):
-        s = bh * (r * r / 2.0 - spec.mu)
-        if s > 700.0:
-            return 0.0
-        return r ** (nu - 1) / np.expm1(s)
-
-    if spec.mu == 0 and nu < 3:
-        raise DimensionTooLow("critical infinite-volume density requires nu >= 3")
-    split = 2.0 / math.sqrt(bh)
-    v1, _ = quad(integrand, 0.0, split, epsabs=0.0, epsrel=1e-12, limit=300)
-    v2, _ = quad(integrand, split, np.inf, epsabs=0.0, epsrel=1e-12, limit=300)
-    return pref * (v1 + v2)
+    return _bose_integral(spec.beta * spec.h, spec.mu, spec.nu, 1e-12)
 
 
 # -- Gram positivity -------------------------------------------------------------
 
-def gram_matrix(spec: StateSpec, fs: Sequence, *, tail_tol: float = 1e-9,
-                rtol: float = 1e-12) -> np.ndarray:
+def gram_matrix(spec: StateSpec, fs: Sequence, *, rtol: float = 1e-12) -> np.ndarray:
     """M[j, k] = omega(W(f_j)* W(f_k)) = e^{i h sigma(f_j, f_k)/2} omega(W(f_k - f_j)).
 
     ``fs`` is a sequence of mode mappings (box kinds) or TestFunctions
-    (continuum kinds).  The result is Hermitian positive semidefinite for
-    any state; tests diagonalize it.
+    (continuum kinds).  The m(m+1)/2 pair forms <f_j, F f_k> give
+    B(f_k - f_j, f_k - f_j) = B_jj + B_kk - 2 Re B_jk, whose ground term is
+    taken on the difference of the means.  The result is Hermitian positive
+    semidefinite for any state; tests diagonalize it.
     """
-    validate_spec(spec)
     m = len(fs)
-    out = np.zeros((m, m), dtype=complex)
-    box = spec.kind in _BOX_KINDS
+    pairs = {(j, k): _pair(spec, fs[j], fs[k], rtol) for j in range(m) for k in range(j, m)}
+    means = [tf.integral_of(f) for f in fs] if spec._r else None
+    out = np.eye(m, dtype=complex)
     for j in range(m):
-        for k in range(m):
-            if box and isinstance(fs[j], Mapping):
-                sig = mode_sigma(fs[j], fs[k])
-                diff = {n: complex(fs[k].get(n, 0.0)) - complex(fs[j].get(n, 0.0))
-                        for n in set(fs[j]) | set(fs[k])}
-            else:
-                sig = tf.inner_product(fs[j], fs[k]).imag
-                diff = fs[k] - fs[j]
-            val = weyl_expectation(spec, diff, tail_tol=tail_tol, rtol=rtol)
-            out[j, k] = np.exp(0.5j * spec.h * sig) * val
+        for k in range(j + 1, m):
+            expo = pairs[j, j].real + pairs[k, k].real - 2.0 * pairs[j, k].real
+            if spec._r:
+                d = means[k] - means[j]
+                expo += _ground(spec, d, d).real
+            out[j, k] = np.exp(0.5j * spec.h * _sigma(fs[j], fs[k]) - spec._c * expo)
+            out[k, j] = out[j, k].conjugate()
     return out
 
 
@@ -594,22 +512,28 @@ def spec_to_json(spec: StateSpec) -> dict:
 
 
 def spec_from_json(d: Mapping) -> StateSpec:
-    box = None
-    if d.get("box") is not None:
-        b = d["box"]
-        box = sp.BoxSpectrum(L=float(b["L"]), nu=int(b["nu"]), cutoff=int(b["cutoff"]))
-    alpha = d.get("alpha")
-    if isinstance(alpha, str):
-        alpha = math.inf if alpha in ("inf", "Infinity") else float(alpha)
-    spec = StateSpec(
-        kind=str(d["kind"]),
-        beta=float(d["beta"]),
-        h=float(d.get("h", 0.0)),
-        mu=None if d.get("mu") is None else float(d["mu"]),
-        rho_bar=None if d.get("rho_bar") is None else float(d["rho_bar"]),
-        alpha=None if alpha is None else float(alpha),
-        box=box,
-        nu=int(d.get("nu", box.nu if box is not None else 3)),
-    )
-    validate_spec(spec)
-    return spec
+    """The StateSpec of a JSON object; InvalidSpec for missing keys or
+    values of the wrong type."""
+    if not isinstance(d, Mapping):
+        raise InvalidSpec(f"a state spec is a JSON object, got {type(d).__name__}")
+    try:
+        box = None
+        if d.get("box") is not None:
+            b = d["box"]
+            box = sp.BoxSpectrum(L=float(b["L"]), nu=int(b["nu"]), cutoff=int(b["cutoff"]))
+        alpha = d.get("alpha")
+        if isinstance(alpha, str) and alpha in ("inf", "Infinity"):
+            alpha = math.inf
+        fields = dict(
+            kind=str(d["kind"]),
+            beta=float(d["beta"]),
+            h=float(d.get("h", 0.0)),
+            mu=None if d.get("mu") is None else float(d["mu"]),
+            rho_bar=None if d.get("rho_bar") is None else float(d["rho_bar"]),
+            alpha=None if alpha is None else float(alpha),
+            box=box,
+            nu=int(d.get("nu", box.nu if box is not None else 3)),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"malformed state spec: {exc!r}") from None
+    return StateSpec(**fields)

@@ -161,3 +161,32 @@ def test_certificate_failures_exit_three(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.strip()
+
+
+_FN = json.dumps({"nu": 3, "terms": [{"amp": [0.1, 0.0], "center": [0, 0, 0],
+                                      "sigma": 1.0, "wave": [0, 0, 0]}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical-density", "--beta", "nan", "--h", "1"],
+    ["critical-density", "--beta", "1", "--h", "inf"],
+    ["compute-state", "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": NaN}',
+     "--fn", _FN],
+    ["compute-state", "--state",
+     '{"kind": "QuantumCondensate", "beta": 1, "h": 1, "rho_bar": NaN}', "--fn", _FN],
+    ["compute-state", "--state", '{"kind": "ClassicalInfVol", "beta": Infinity, "mu": -1}',
+     "--fn", _FN],
+    ["compute-state", "--state", '{"beta": 1}', "--fn", _FN],
+    ["compute-state", "--state", '{"kind": "ClassicalInfVol", "beta": "x", "mu": -1}',
+     "--fn", _FN],
+    ["compute-state", "--state", "[1]", "--fn", _FN],
+    ["trace-check", "--s", "200", "--L", "100"],
+    ["trace-check", "--s", "2", "--L", "1e200"],
+])
+def test_bad_inputs_exit_two_without_traceback(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err

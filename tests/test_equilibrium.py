@@ -144,3 +144,26 @@ def test_solver_round_trip_failure_is_reported():
     box = sp.BoxSpectrum(L=40.0, nu=3, cutoff=2)
     with pytest.raises(BracketFailure):
         eq.solve_mu_quantum(0.5, box, beta=1.0, h=1.0)
+
+
+def test_kms_analytic_evaluates_omega_once(monkeypatch):
+    counts = {"omega": 0, "resolvent": 0}
+    omega, resolvent = st.weyl_expectation_with_tail, tf.resolvent_pair
+
+    def counting_omega(*args, **kw):
+        counts["omega"] += 1
+        return omega(*args, **kw)
+
+    def counting_resolvent(*args, **kw):
+        counts["resolvent"] += 1
+        return resolvent(*args, **kw)
+
+    monkeypatch.setattr(st, "weyl_expectation_with_tail", counting_omega)
+    monkeypatch.setattr(tf, "resolvent_pair", counting_resolvent)
+    spec = st.StateSpec(kind="ClassicalInfVol", beta=1.0, mu=-0.5, nu=3)
+    f = tf.gaussian(0.2, (0.1, 0, 0), 0.9, (0.4, 0, 0))
+    g = tf.gaussian(0.15j, (0, 0.2, 0), 1.1)
+    r = eq.kms_residual(spec, eq.WeakDerivationSpec(kind="HMinusMu", mu=-0.5), f, g)
+    assert r <= 1e-12
+    # the matched derivation cancels the resolvent of the cross term
+    assert counts == {"omega": 1, "resolvent": 1}

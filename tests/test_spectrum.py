@@ -9,6 +9,7 @@ from scipy.special import zeta
 from weylgas import spectrum as sp
 from weylgas.errors import DomainViolation, InvalidIndex, InvalidSpec, \
     TailToleranceExceeded
+from weylgas.errors import QuadratureFailure
 
 
 def test_ground_mode_energy():
@@ -162,3 +163,18 @@ def test_trace_power_respects_dimension_threshold():
     assert ok
     _, ok = sp.trace_h_power(0.5, sp.BoxSpectrum(L=1.0, nu=1, cutoff=40))
     assert not ok
+
+
+def test_theta_mellin_certificate_covers_rounding():
+    box = sp.BoxSpectrum(L=1.0, nu=3, cutoff=8)
+    with pytest.raises(QuadratureFailure):
+        sp.trace_h_power(5000.0, box)
+    value, converged = sp.trace_h_power(2.0, box)
+    assert converged
+    assert value == pytest.approx(0.40618954066422824, rel=1e-14)
+
+
+@pytest.mark.parametrize("s, L", [(200.0, 100.0), (2.0, 1e200), (1.0, 1e-200), (1.5, 1e150)])
+def test_trace_power_out_of_float_range(s, L):
+    with pytest.raises(DomainViolation):
+        sp.trace_h_power(s, sp.BoxSpectrum(L=L, nu=3, cutoff=8))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 from scipy.special import zeta
 
 from weylgas import spectrum as sp
 from weylgas import states as st
 from weylgas import testfn as tf
 from weylgas.errors import ChemicalPotentialOutOfRange, DimensionTooLow, InvalidSpec
+from weylgas.errors import DomainViolation, ValidationError
 
 BOX = sp.BoxSpectrum(L=1.0, nu=3, cutoff=16)
 
@@ -227,3 +229,159 @@ def test_spec_json_round_trip():
     d = st.spec_to_json(st.StateSpec(kind="ClassicalCondensate", beta=2.0,
                                      alpha=math.inf, nu=3))
     assert d["alpha"] == "inf"
+
+
+# -- validation boundary -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kw", [
+    dict(kind="ClassicalInfVol", beta=math.nan, mu=-1.0),
+    dict(kind="ClassicalInfVol", beta=math.inf, mu=-1.0),
+    dict(kind="ClassicalInfVol", beta=1.0, mu=math.nan),
+    dict(kind="ClassicalInfVol", beta=1.0, mu=-math.inf),
+    dict(kind="QuantumInfVol", beta=1.0, h=math.inf, mu=-1.0),
+    dict(kind="QuantumInfVol", beta=1.0, h=math.nan, mu=-1.0),
+    dict(kind="QuantumCondensate", beta=1.0, h=1.0, rho_bar=math.nan),
+    dict(kind="QuantumCondensate", beta=1.0, h=1.0, rho_bar=math.inf),
+    dict(kind="ClassicalCondensate", beta=1.0, alpha=math.nan),
+    dict(kind="QuantumBoxGibbs", beta=1.0, h=1.0, mu=math.nan, box=BOX),
+])
+def test_non_finite_spec_inputs_rejected(kw):
+    with pytest.raises(InvalidSpec):
+        st.StateSpec(**kw)
+
+
+def test_infinite_alpha_stays_legal():
+    spec = st.StateSpec(kind="ClassicalCondensate", beta=1.0, alpha=math.inf)
+    assert st.validate_spec(spec) == math.inf
+
+
+@pytest.mark.parametrize("beta, h, nu", [(math.nan, 1.0, 3), (1.0, math.nan, 3),
+                                         (math.inf, 1.0, 3), (1.0, math.inf, 3),
+                                         (1e-200, 1e-200, 3), (1.0, 1.0, 400)])
+def test_critical_density_rejects_out_of_range(beta, h, nu):
+    # beta h = 1e-400 underflows; at nu = 400 Gamma(nu/2) overflows
+    with pytest.raises(DomainViolation):
+        st.critical_density(beta, h, nu)
+
+
+@pytest.mark.parametrize("d", [
+    {"beta": 1.0},
+    {"kind": "ClassicalInfVol", "mu": -1.0},
+    {"kind": "ClassicalInfVol", "beta": "x", "mu": -1.0},
+    {"kind": "ClassicalInfVol", "beta": 1.0, "mu": [1]},
+    {"kind": "ClassicalCondensate", "beta": 1.0, "alpha": "lots"},
+    {"kind": "QuantumBoxGibbs", "beta": 1.0, "h": 1.0, "mu": 0.0, "box": {"L": 1.0}},
+    {"kind": "QuantumBoxGibbs", "beta": 1.0, "h": 1.0, "mu": 0.0, "box": 5},
+    {"kind": "QuantumBoxGibbs", "beta": 1.0, "h": 1.0, "mu": 0.0,
+     "box": {"L": math.nan, "nu": 3, "cutoff": 8}},
+    {"kind": "QuantumInfVol", "beta": 1.0, "h": 1.0, "mu": -1.0, "nu": math.inf},
+    [1, 2],
+])
+def test_spec_from_json_malformed(d):
+    with pytest.raises(InvalidSpec):
+        st.spec_from_json(d)
+
+
+_json = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(max_size=6),
+    lambda inner: hst.lists(inner, max_size=3)
+    | hst.dictionaries(hst.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_number = hst.none() | hst.booleans() | hst.integers() | hst.floats() \
+    | hst.sampled_from(["inf", "Infinity", "nan", "0.5", "x"]) | _json
+_spec_objects = hst.fixed_dictionaries({}, optional={
+    "kind": hst.sampled_from(st.ALL_KINDS) | _json,
+    "beta": _number, "h": _number, "mu": _number, "rho_bar": _number,
+    "alpha": _number, "nu": hst.integers(0, 6) | _number,
+    "box": hst.fixed_dictionaries({}, optional={
+        "L": _number, "nu": hst.integers(0, 4) | _number, "cutoff": _number}) | _json,
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(hst.one_of(_spec_objects, hst.dictionaries(hst.text(max_size=6), _json, max_size=4)))
+def test_spec_from_json_yields_spec_or_validation_error(d):
+    try:
+        spec = st.spec_from_json(d)
+    except ValidationError:
+        return
+    assert isinstance(spec, st.StateSpec)
+
+
+def test_critical_density_once_per_condensate_spec(monkeypatch):
+    calls = []
+    real = st.critical_density
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(st, "critical_density", counting)
+    spec = st.StateSpec(kind="QuantumCondensate", beta=1.0, h=0.5,
+                        rho_bar=real(1.0, 0.5, 3) + 0.2, nu=3)
+    assert len(calls) == 1
+    f = tf.gaussian(0.1, (0.2, 0, 0), 0.9)
+    for _ in range(3):
+        st.weyl_expectation(spec, f)
+    st.gram_matrix(spec, [f, 2.0 * f])
+    assert len(calls) == 1
+
+
+# -- one covariance form -------------------------------------------------------
+
+_CONTINUUM_FNS = [tf.gaussian(0.1, (0.2, 0.0, -0.1), 1.0),
+                  tf.gaussian(0.15 + 0.05j, (0.1, -0.2, 0.0), 0.8, (0.4, 0.0, -0.3))
+                  + tf.gaussian(-0.05j, (0.0, 0.1, 0.2), 0.6, (0.0, 0.5, 0.0)),
+                  tf.gaussian(0.08, (-0.3, 0.1, 0.0), 0.7, (0.2, 0.1, 0.0))]
+
+
+@pytest.mark.parametrize("spec", [
+    st.StateSpec(kind="ClassicalInfVol", beta=1.0, mu=-0.5, nu=3),
+    st.StateSpec(kind="QuantumInfVol", beta=2.0, h=0.5, mu=-0.4, nu=3),
+    st.StateSpec(kind="ClassicalCondensate", beta=1.0, alpha=0.1, nu=3),
+], ids=lambda s: s.kind)
+def test_gram_matrix_on_continuum_test_functions(spec):
+    fs = _CONTINUUM_FNS
+    g = st.gram_matrix(spec, fs)
+    assert np.array_equal(np.diag(g), np.ones(3))
+    # the rest follows from the Hermitian check below
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        sig = complex(tf.inner_product(fs[j], fs[k])).imag
+        want = np.exp(0.5j * spec.h * sig) * st.weyl_expectation(spec, fs[k] - fs[j])
+        assert g[j, k] == pytest.approx(want, rel=1e-10)
+    assert np.array_equal(g, g.conj().T)
+    assert np.linalg.eigvalsh(g).min() >= -1e-12
+
+
+def test_gram_matrix_infinite_alpha_uses_mean_differences():
+    spec = st.StateSpec(kind="ClassicalCondensate", beta=1.0, alpha=math.inf, nu=3)
+    f = _CONTINUUM_FNS[0]
+    fs = [f, f + tf.gaussian(0.1, (0.5, 0, 0), 0.7) - tf.gaussian(0.1, (-0.5, 0, 0), 0.7),
+          _CONTINUUM_FNS[2]]
+    g = st.gram_matrix(spec, fs)
+    # f_0 and f_1 share their mean, f_2 does not
+    assert g[0, 1] == pytest.approx(st.weyl_expectation(spec, fs[1] - fs[0]), rel=1e-10)
+    assert 0.0 < g[0, 1].real < 1.0
+    assert g[0, 2] == 0.0 and g[1, 2] == 0.0
+
+
+def test_gram_matrix_rejects_box_test_functions():
+    with pytest.raises(TypeError):
+        st.gram_matrix(qbox(), [tf.gaussian(0.1, (0, 0, 0), 0.3)] * 2)
+
+
+@pytest.mark.parametrize("spec, f", [
+    (qbox(h=0.3, mu=-0.2), {(1, 1, 1): 0.4 + 0.2j, (2, 1, 1): -0.1}),
+    (cbox(beta=1.3, mu=-0.2), {(1, 2, 1): 0.3 - 0.1j}),
+    (st.StateSpec(kind="QuantumInfVol", beta=2.0, h=0.5, mu=-0.4), _CONTINUUM_FNS[1]),
+    (st.StateSpec(kind="QuantumCondensate", beta=1.0, h=0.5,
+                  rho_bar=st.critical_density(1.0, 0.5, 3) + 0.2), _CONTINUUM_FNS[0]),
+    (st.StateSpec(kind="ClassicalInfVol", beta=1.0, mu=0.0), _CONTINUUM_FNS[2]),
+    (st.StateSpec(kind="ClassicalCondensate", beta=1.0, alpha=0.1), _CONTINUUM_FNS[0]),
+], ids=lambda v: getattr(v, "kind", ""))
+def test_quasi_free_two_point_fixes_weyl_expectation(spec, f):
+    # omega(W(f)) = exp(-omega(Phi(f)^2)/2) for every quasi-free family
+    two = st.two_point(spec, f, f)
+    assert two.imag == 0.0
+    assert st.weyl_expectation(spec, f) == pytest.approx(math.exp(-two.real / 2.0), rel=1e-13)
