@@ -68,6 +68,9 @@ def solve_mu_quantum(rho_target: float, box: sp.BoxSpectrum, beta: float,
     E_ground on the right) always exists; the root is polished by a
     bracketed solver and verified against ``rel_tol``.
     """
+    if not all(math.isfinite(v) for v in (rho_target, beta, h)):
+        raise DomainViolation(
+            f"target density, beta and h must be finite, got {rho_target}, {beta}, {h}")
     if rho_target <= 0:
         raise NonPositiveTarget(f"target density must be positive, got {rho_target}")
     if beta <= 0 or h <= 0:

@@ -49,6 +49,8 @@ class GaussianMeasureSpec:
         object.__setattr__(self, "eigenvalues", eig)
         if not eig:
             raise InvalidSpec("need at least one mode")
+        if not all(math.isfinite(v) for v in eig + (self.beta,)):
+            raise InvalidSpec(f"eigenvalues and beta must be finite, got {eig}, {self.beta}")
         if any(v <= 0 for v in eig):
             raise InvalidSpec("eigenvalues must be positive")
         if self.beta <= 0:

@@ -18,6 +18,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,19 +86,93 @@ def volume(L: float, nu: int) -> float:
     return (2.0 * L) ** nu
 
 
+# Shell tables hold nu cutoff^2 entries and the binned first nu - 1 axes
+# cutoff^(nu-1); lattices needing more are refused instead of allocated.
+_MAX_SHELLS = 1 << 22
+
+
+@lru_cache(maxsize=16)
+def _head_bins(cutoff: int, nu: int) -> np.ndarray:
+    """m' - (nu - 1) with m' = n_1^2 + ... + n_{nu-1}^2 over [1..cutoff]^{nu-1},
+    flattened in C order (one 0 for nu = 1); read-only."""
+    if max(nu * cutoff ** 2, cutoff ** (nu - 1)) > _MAX_SHELLS:
+        raise DomainViolation(
+            f"the shell tables of cutoff {cutoff} at nu = {nu} exceed "
+            f"{_MAX_SHELLS} entries")
+    sq = np.arange(1, cutoff + 1, dtype=np.int64) ** 2
+    bins = np.zeros(1, dtype=np.int64)
+    for _ in range(nu - 1):
+        bins = np.add.outer(bins, sq - 1).ravel()
+    bins.flags.writeable = False
+    return bins
+
+
+def _shell_sums(weight_sets: Sequence[Sequence[np.ndarray]],
+                weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """For each weight set (q_1, ..., q_nu) of length-cutoff vectors, the sum
+    over n in [1..cutoff]^nu of prod_i q_i(n_i) F(|n|^2).
+
+    Grouped by shells m = |n|^2 the sum is sum_m F(m) S(m) with
+    S(m) = sum_{|n|^2 = m} prod_i q_i(n_i).  The first nu - 1 axes are binned
+    on m' = n_1^2 + ... + n_{nu-1}^2; the last axis adds one dot product of
+    those bins against the window F(m' + n_nu^2) per n_nu, so no
+    cutoff^nu array is formed.  ``weight`` maps the float shells
+    m = nu..nu cutoff^2 to F in one call; it never sees the shells below the
+    ground shell m = nu, where F may be singular.
+    """
+    nu, cutoff = len(weight_sets[0]), len(weight_sets[0][0])
+    bins = _head_bins(cutoff, nu)
+    width = int(bins[-1]) + 1
+    cols = []
+    for qs in weight_sets:
+        head = np.ones(1, dtype=complex)
+        for q in qs[:-1]:
+            head = np.multiply.outer(head, q).ravel()
+        cols += [np.bincount(bins, head.real, width), np.bincount(bins, head.imag, width)]
+    binned = np.stack(cols, axis=1)
+    fvals = weight(np.arange(nu, nu * cutoff ** 2 + 1, dtype=float))
+    # shell m' + n^2 sits at fvals[m' - (nu - 1) + n^2 - 1]
+    win = np.array([fvals[n * n - 1:n * n - 1 + width] @ binned
+                    for n in range(1, cutoff + 1)])
+    win = win[:, 0::2] + 1j * win[:, 1::2]
+    return np.array([qs[-1] @ win[:, j] for j, qs in enumerate(weight_sets)])
+
+
+@lru_cache(maxsize=16)
+def _shell_table(cutoff: int, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied shells m = |n|^2 of [1..cutoff]^nu as (multiplicities,
+    one representative point per shell as a (nu, shells) float index
+    array); read-only.  Built from the binned first nu - 1 axes plus the
+    last axis as cutoff shifted copies."""
+    bins = _head_bins(cutoff, nu)
+    heads = np.bincount(bins)
+    first = np.empty(len(heads), dtype=np.int64)
+    first[bins] = np.arange(len(bins))
+    occupied = np.flatnonzero(heads)
+    # both indexed by m - nu
+    mult = np.zeros(nu * cutoff ** 2 - nu + 1, dtype=np.int64)
+    rep = np.zeros_like(mult)
+    for n in range(1, cutoff + 1):
+        mult[n * n - 1:n * n - 1 + len(heads)] += heads
+        rep[occupied + n * n - 1] = first[occupied] * cutoff + n - 1
+    shells = np.flatnonzero(mult)
+    points = np.array(np.unravel_index(rep[shells], (cutoff,) * nu), dtype=float) + 1.0
+    mult = mult[shells]
+    for a in (mult, points):
+        a.flags.writeable = False
+    return mult, points
+
+
 def _grid_sum(fn: Callable, cutoff: int, nu: int) -> float:
-    """sum over [1..cutoff]^nu of fn(open-mesh index arrays), chunked in n1."""
-    axes = [np.arange(1, cutoff + 1, dtype=float) for _ in range(nu)]
-    if nu == 1:
-        return float(np.sum(fn(axes[0])))
-    block = max(1, int(4_000_000 // max(1, cutoff ** (nu - 1))))
-    total = 0.0
-    rest = [a.reshape((1,) * (i + 1) + (-1,) + (1,) * (nu - 2 - i))
-            for i, a in enumerate(axes[1:])]
-    for lo in range(0, cutoff, block):
-        n1 = axes[0][lo:lo + block].reshape((-1,) + (1,) * (nu - 1))
-        total += float(np.sum(fn(n1, *rest)))
-    return total
+    """sum over [1..cutoff]^nu of fn(index arrays), for fn a function of |n|^2.
+
+    Grouped by shells, the sum is sum_m fn(n_m) mult(m), with n_m one
+    representative of the shell m = |n|^2 and mult(m) its size (see
+    ``_shell_table``).  kappa |n|^2 of integer entries is exact, so every
+    representative gives the same bits.
+    """
+    mult, points = _shell_table(cutoff, nu)
+    return float(mult @ fn(*points))
 
 
 def mode_sum(weight: Callable, spec: BoxSpectrum,

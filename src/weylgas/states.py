@@ -226,7 +226,14 @@ def _box_weight(spec: StateSpec, e, exp=np.exp):
 def _box_quadform(f: tf.TestFunction, spec: StateSpec,
                   tail_tol: float) -> tuple[float, float]:
     """B(f, f) = sum_n |<psi_n, f>|^2 F(E_n) over [1..cutoff]^nu plus a
-    certified tail bound."""
+    certified tail bound.
+
+    <psi_n, f> = L^{-nu/2} sum_t amp_t prod_i o_ti(n_i) with the axis
+    overlaps o of ``axis_sine_overlaps``, and E_n = kappa m depends on n only
+    through the shell m = |n|^2, so each term pair (s, t) contributes
+    sum_m F(kappa m) S_st(m) with S_st(m) the sum over |n|^2 = m of
+    prod_i conj(o_si(n_i)) o_ti(n_i) (``spectrum._shell_sums``).
+    """
     box = spec.box
     if f.nu != box.nu:
         raise DimensionMismatch(f"test function nu={f.nu} on a nu={box.nu} box")
@@ -266,27 +273,16 @@ def _box_quadform(f: tf.TestFunction, spec: StateSpec,
             f"certified box tail {tail:.3e} exceeds tolerance {tail_tol:.3e} "
             f"at cutoff {C}")
 
-    # chunked accumulation of |sum_t amp_t prod_i o_i|^2 * F(E)
-    nu = box.nu
-    axes_idx = np.arange(1, C + 1, dtype=float)
-    block = max(1, int(2_000_000 // max(1, C ** (nu - 1))))
+    # B = sum_{s,t} conj(amp_s) amp_t sum_n prod_i conj(o_si(n_i)) o_ti(n_i) F(E_n);
+    # F is real, so the (t, s) term is the conjugate of the (s, t) term
+    pairs = [(s, t) for s in range(n_terms) for t in range(s, n_terms)]
+    sums = sp._shell_sums(
+        [[tables[s][i].conjugate() * tables[t][i] for i in range(box.nu)] for s, t in pairs],
+        lambda m: _box_weight(spec, k * m)) if pairs else []
     total = 0.0
-    for lo in range(0, C, block):
-        hi = min(C, lo + block)
-        ov = None
-        for t, tab in zip(f.terms, tables):
-            piece = t.amp * tab[0][lo:hi].reshape((-1,) + (1,) * (nu - 1))
-            for i in range(1, nu):
-                shape = [1] * nu
-                shape[i] = -1
-                piece = piece * tab[i].reshape(shape)
-            ov = piece if ov is None else ov + piece
-        esq = axes_idx[lo:hi].reshape((-1,) + (1,) * (nu - 1)) ** 2
-        for i in range(1, nu):
-            shape = [1] * nu
-            shape[i] = -1
-            esq = esq + (axes_idx ** 2).reshape(shape)
-        total += float(np.sum(np.abs(ov) ** 2 * _box_weight(spec, k * esq)))
+    for (s, t), v in zip(pairs, sums):
+        term = (f.terms[s].amp.conjugate() * f.terms[t].amp * v).real
+        total += term if s == t else 2.0 * term
     return L ** (-box.nu) * total, tail
 
 

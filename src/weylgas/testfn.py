@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import wofz
 
 from ._quadrules import gauss_hermite, gauss_legendre
 from .errors import (
@@ -39,6 +40,7 @@ from .errors import (
     DimensionTooLow,
     DomainViolation,
     InvalidIndex,
+    InvalidSpec,
     QuadratureFailure,
 )
 
@@ -60,6 +62,9 @@ class GaussTerm:
     wave: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in
+                   (self.amp.real, self.amp.imag, self.sigma, *self.center, *self.wave)):
+            raise DomainViolation(f"Gaussian term parameters must be finite: {self}")
         if self.sigma <= 0:
             raise DomainViolation(f"sigma must be positive, got {self.sigma}")
         if len(self.center) != len(self.wave):
@@ -410,40 +415,48 @@ def thermal_pair(f: TestFunction, g: TestFunction, beta: float, h: float,
 
 # -- box geometry -------------------------------------------------------------
 
-def axis_sine_overlaps(center: float, sigma: float, wave: float, L: float,
-                       nmax: int, *, rtol: float = 1e-11) -> np.ndarray:
-    """integral_{-L}^{L} sin(pi n (x - L)/(2L)) e^{i wave x} e^{-(x-center)^2/(2 sigma^2)} dx
-    for n = 1..nmax, by Gauss-Legendre on the effective support, with a
-    node-doubling self-check.
+def _erf_window(t0: float, t1: float, a):
+    """E(t1, a) - E(t0, a) with E(t, a) = e^{-a^2} erf(t - i a), real t, a.
+
+    For t >= 0, E(t, a) = e^{-a^2} - e^{-t^2 + 2iat} w(a + it), and for
+    t < 0, E(t, a) = -e^{-a^2} + e^{-t^2 + 2iat} w(-a - it), with w the
+    Faddeeva function: its argument stays in the closed upper half-plane,
+    where |w| <= 1, so nothing overflows.  The two e^{-a^2} parts are
+    combined before rounding, so a window away from the Gaussian's centre
+    does not cancel against them.
     """
-    lo = max(-L, center - 10.0 * sigma)
-    hi = min(L, center + 10.0 * sigma)
-    if lo >= hi:
-        return np.zeros(nmax, dtype=complex)
-    # resolve the fastest sine, the wave oscillation, and the Gaussian width
-    cycles = nmax * (hi - lo) / (4.0 * L) + abs(wave) * (hi - lo) / (2 * math.pi)
-    nodes = int(max(64, 7 * cycles + 10 * (hi - lo) / sigma + 32))
+    s0, s1 = (1.0 if t >= 0 else -1.0 for t in (t0, t1))
 
-    def run(npts):
-        x, w = gauss_legendre(npts)
-        x = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * w
-        g = np.exp(1j * wave * x - (x - center) ** 2 / (2 * sigma ** 2))
-        n = np.arange(1, nmax + 1)
-        phases = np.sin(np.pi * np.outer(n, x - L) / (2.0 * L))
-        return phases @ (w * g)
+    def edge(t, s):
+        return s * np.exp(-t * t + 2j * a * t) * wofz(s * (a + 1j * t))
 
-    v1 = run(nodes)
-    v2 = run(2 * nodes)
-    scale = max(float(np.max(np.abs(v2))), 1e-30)
-    if float(np.max(np.abs(v1 - v2))) > max(rtol * scale, 1e-14):
-        raise QuadratureFailure(
-            f"axis overlap table did not stabilize under node doubling (n<={nmax}, L={L})")
-    return v2
+    return (s1 - s0) * np.exp(-a * a) - edge(t1, s1) + edge(t0, s0)
 
 
-def box_overlap(f: TestFunction, n: Sequence[int], L: float, *,
-                rtol: float = 1e-11) -> complex:
+def axis_sine_overlaps(center: float, sigma: float, wave: float, L: float,
+                       nmax: int) -> np.ndarray:
+    """integral_{-L}^{L} sin(pi n (x - L)/(2L)) e^{i wave x} e^{-(x-center)^2/(2 sigma^2)} dx
+    for n = 1..nmax, in closed form.
+
+    With k_n = pi n/(2L), o(n) = [e^{-i k_n L} W(wave + k_n) - e^{i k_n L} W(wave - k_n)]/(2i),
+    where W(q) = integral_{-L}^{L} e^{iqx} e^{-(x-center)^2/(2 sigma^2)} dx
+    = e^{iqc} sigma sqrt(pi/2) [E(t1, a) - E(t0, a)], a = q sigma/sqrt(2),
+    t0,1 = (-/+L - center)/(sigma sqrt(2)) (see ``_erf_window``), and
+    e^{-i k_n L} = (-i)^n exactly.
+    """
+    n = np.arange(1, nmax + 1)
+    k = np.pi * n / (2.0 * L)
+    t0, t1 = ((side * L - center) / (sigma * math.sqrt(2.0)) for side in (-1.0, 1.0))
+
+    def window(q):
+        return np.exp(1j * q * center) * sigma * math.sqrt(math.pi / 2.0) \
+            * _erf_window(t0, t1, q * sigma / math.sqrt(2.0))
+
+    quarter = np.array([1.0, -1j, -1.0, 1j])[n % 4]
+    return (quarter * window(wave + k) - quarter.conjugate() * window(wave - k)) / 2j
+
+
+def box_overlap(f: TestFunction, n: Sequence[int], L: float) -> complex:
     """<psi_n, f> for the orthonormal Dirichlet eigenfunction
 
         psi_n(x) = L^{-nu/2} prod_i sin(pi n_i (x_i - L)/(2L))
@@ -461,7 +474,7 @@ def box_overlap(f: TestFunction, n: Sequence[int], L: float, *,
     for t in f.terms:
         val = t.amp
         for i in range(f.nu):
-            table = axis_sine_overlaps(t.center[i], t.sigma, t.wave[i], L, n[i], rtol=rtol)
+            table = axis_sine_overlaps(t.center[i], t.sigma, t.wave[i], L, n[i])
             val *= table[n[i] - 1]
         total += val
     return complex(total * L ** (-f.nu / 2.0))
@@ -509,12 +522,27 @@ def to_json_dict(f: TestFunction) -> dict:
     }
 
 
+def _json_numbers(value, length: int, what: str) -> tuple[float, ...]:
+    if not (isinstance(value, (list, tuple)) and len(value) == length and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise InvalidSpec(f"{what} must be a list of {length} numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def from_json_dict(d: Mapping) -> TestFunction:
-    nu = int(d["nu"])
+    """The TestFunction of a JSON object; InvalidSpec for missing keys,
+    values of the wrong type and lists of the wrong length."""
+    if not isinstance(d, Mapping) or not isinstance(d.get("terms"), list):
+        raise InvalidSpec(f"a test function is an object with a list of terms, got {d!r}")
+    nu = d.get("nu")
+    if not isinstance(nu, int) or isinstance(nu, bool) or nu < 1:
+        raise InvalidSpec(f"nu must be a positive integer, got {nu!r}")
     terms = []
     for entry in d["terms"]:
-        amp = complex(entry["amp"][0], entry["amp"][1])
-        terms.append(GaussTerm(amp, tuple(float(c) for c in entry["center"]),
-                               float(entry["sigma"]),
-                               tuple(float(w) for w in entry["wave"])))
+        if not isinstance(entry, Mapping) or not {"amp", "center", "sigma", "wave"} <= entry.keys():
+            raise InvalidSpec(f"a term is an object with amp, center, sigma and wave, got {entry!r}")
+        re, im = _json_numbers(entry["amp"], 2, "amp")
+        (sigma,) = _json_numbers([entry["sigma"]], 1, "sigma")
+        terms.append(GaussTerm(complex(re, im), _json_numbers(entry["center"], nu, "center"),
+                               sigma, _json_numbers(entry["wave"], nu, "wave")))
     return TestFunction(nu, tuple(terms))

@@ -182,6 +182,17 @@ _FN = json.dumps({"nu": 3, "terms": [{"amp": [0.1, 0.0], "center": [0, 0, 0],
     ["compute-state", "--state", "[1]", "--fn", _FN],
     ["trace-check", "--s", "200", "--L", "100"],
     ["trace-check", "--s", "2", "--L", "1e200"],
+    ["compute-state", "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}',
+     "--fn", _FN.replace('"sigma": 1.0', '"sigma": NaN')],
+    ["compute-state", "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}',
+     "--fn", _FN.replace('"amp": [0.1, 0.0]', '"amp": [NaN, 0]')],
+    ["compute-state", "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}',
+     "--fn", '{"nu": 3}'],
+    ["compute-state", "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}',
+     "--fn", _FN.replace('"center": [0, 0, 0]', '"center": [0, 0]')],
+    ["sample-gibbs", "--eigenvalues", "1,2", "--beta", "nan", "--label", "[[1,0],[0,0.5]]",
+     "--count", "100", "--seed", "1"],
+    ["solve-mu", "--rho", "nan", "--L", "2", "--beta", "1", "--h", "1"],
 ])
 def test_bad_inputs_exit_two_without_traceback(capsys, argv):
     code = cli.main(argv)

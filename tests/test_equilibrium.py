@@ -48,6 +48,10 @@ def test_solve_mu_rejects_bad_targets():
         eq.solve_mu_quantum(0.0, box, beta=1.0, h=1.0)
     with pytest.raises(NonPositiveTarget):
         eq.solve_mu_quantum(-0.4, box, beta=1.0, h=1.0)
+    for rho, beta, h in ((math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                         (0.1, math.nan, 1.0), (0.1, 1.0, math.nan)):
+        with pytest.raises(DomainViolation):
+            eq.solve_mu_quantum(rho, box, beta=beta, h=h)
 
 
 def test_condensate_fraction_limit():

@@ -17,6 +17,10 @@ def test_spec_validation_and_json():
         mc.GaussianMeasureSpec(eigenvalues=(), beta=1.0)
     with pytest.raises(InvalidSpec):
         mc.GaussianMeasureSpec(eigenvalues=(1.0,), beta=0.0)
+    for eig, beta in (((1.0, 2.0), math.nan), ((1.0, 2.0), math.inf),
+                      ((1.0, math.nan), 1.0), ((math.inf,), 1.0)):
+        with pytest.raises(InvalidSpec):
+            mc.GaussianMeasureSpec(eigenvalues=eig, beta=beta)
     back = mc.GaussianMeasureSpec.from_json_dict(SPEC.to_json_dict())
     assert back == SPEC
 

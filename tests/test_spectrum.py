@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -178,3 +179,39 @@ def test_theta_mellin_certificate_covers_rounding():
 def test_trace_power_out_of_float_range(s, L):
     with pytest.raises(DomainViolation):
         sp.trace_h_power(s, sp.BoxSpectrum(L=L, nu=3, cutoff=8))
+
+
+@pytest.mark.parametrize("nu, cutoff", [(1, 30), (2, 17), (3, 12), (4, 7)])
+def test_shell_tables_match_brute_force(nu, cutoff):
+    grid = np.indices((cutoff,) * nu).reshape(nu, -1) + 1
+    m = (grid ** 2).sum(axis=0)
+    counts = np.bincount(m)
+    mult, points = sp._shell_table(cutoff, nu)
+    shells = (points ** 2).sum(axis=0)
+    assert np.array_equal(shells, np.flatnonzero(counts))
+    assert np.array_equal(mult, counts[shells.astype(int)])
+    assert np.array_equal(points, np.round(points))
+    assert 1 <= points.min() and points.max() <= cutoff
+    assert not mult.flags.writeable and not points.flags.writeable
+    # weighted shell sums, with the weight tabulated from the ground shell up
+    rng = np.random.default_rng(nu)
+    qs = [rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff) for _ in range(nu)]
+    lowest = []
+
+    def weight(shell):
+        lowest.append(shell.min())
+        return 1.0 / (shell - nu + 0.5)
+
+    brute = np.sum(functools.reduce(np.multiply.outer, qs).ravel() / (m - nu + 0.5))
+    assert sp._shell_sums([qs], weight)[0] == pytest.approx(brute, rel=1e-13)
+    assert lowest == [nu]
+
+
+def test_oversized_shell_tables_are_refused():
+    # nu cutoff^2 = 7.5e7 shells: refused before anything is allocated
+    box = sp.BoxSpectrum(L=1.0, nu=3, cutoff=5000)
+    weight, tail = sp.heat_weight(box, 0.3)
+    with pytest.raises(DomainViolation):
+        sp.mode_sum(weight, box, tail, math.inf)
+    with pytest.raises(DomainViolation):
+        sp.trace_h_power(1.0, box)

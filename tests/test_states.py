@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -385,3 +386,40 @@ def test_quasi_free_two_point_fixes_weyl_expectation(spec, f):
     two = st.two_point(spec, f, f)
     assert two.imag == 0.0
     assert st.weyl_expectation(spec, f) == pytest.approx(math.exp(-two.real / 2.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["QuantumBoxGibbs", "ClassicalBoxGibbs"])
+@pytest.mark.parametrize("gap", [1e-6, 0.5])
+def test_box_quadform_matches_direct_lattice_sum(nu, kind, gap):
+    # three complex terms with momenta against every mode of the cutoff box;
+    # gap = 1e-6 puts mu at E_0 (1 - 1e-6)
+    L, C = 2.0, 40
+    f = tf.gaussian(0.3 + 0.1j, (0.2, -0.1, 0.3)[:nu], 0.5, (0.8, -0.4, 0.2)[:nu]) \
+        + tf.gaussian(-0.1j, (-0.3, 0.1, 0.0)[:nu], 0.45, (0.0, 1.1, -0.7)[:nu]) \
+        + tf.gaussian(0.2, (0.0, 0.4, -0.2)[:nu], 0.6)
+    e0 = sp.ground_energy(L, nu)
+    mu = e0 * (1 - gap)
+    h = 0.7 if kind == "QuantumBoxGibbs" else 0.0
+    spec = st.StateSpec(kind=kind, beta=1.3, h=h, mu=mu, nu=nu,
+                        box=sp.BoxSpectrum(L=L, nu=nu, cutoff=C))
+    axes = "abc"[:nu]
+    coeff = sum(t.amp * np.einsum(",".join(axes) + "->" + axes, *(
+        tf.axis_sine_overlaps(t.center[i], t.sigma, t.wave[i], L, C) for i in range(nu)))
+        for t in f.terms)
+    n2 = np.arange(1, C + 1, dtype=float) ** 2
+    energy = sp.kappa(L) * functools.reduce(np.add.outer, [n2] * nu)
+    if h:
+        x = np.exp(-1.3 * h * (energy - mu))
+        weight = (1 + x) / (1 - x)
+    else:
+        weight = 1.0 / (1.3 * (energy - mu))
+    direct = L ** -nu * np.einsum(axes + "," + axes + "->", np.abs(coeff) ** 2, weight)
+    value, _ = st._box_quadform(f, spec, math.inf)
+    assert value == pytest.approx(direct, rel=1e-12)
+
+
+def test_box_expectation_of_the_zero_function_is_one():
+    zero = tf.TestFunction(3, ())
+    assert st.weyl_expectation(qbox(), zero) == 1.0
+    assert st.weyl_expectation(cbox(), zero) == 1.0

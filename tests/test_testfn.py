@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from weylgas import testfn as tf
 from weylgas.errors import DimensionMismatch, DimensionTooLow, DomainViolation, \
     InvalidIndex
+from weylgas.errors import InvalidSpec
 
 
 def mix3():
@@ -169,16 +170,18 @@ def test_thermal_rejects_positive_mu():
 
 
 def test_axis_overlaps_against_quadrature():
-    L, nmax = 2.0, 24
-    c, s, w = 0.4, 0.8, 2.5
-    ov = tf.axis_sine_overlaps(c, s, w, L, nmax)
-    for n in (1, 5, 20):
-        def band(x):
-            return math.sin(math.pi * n * (x - L) / (2 * L)) \
-                * math.exp(-(x - c) ** 2 / (2 * s * s))
-        re = quad(lambda x: band(x) * math.cos(w * x), -L, L, limit=300)[0]
-        im = quad(lambda x: band(x) * math.sin(w * x), -L, L, limit=300)[0]
-        assert ov[n - 1] == pytest.approx(complex(re, im), rel=1e-9, abs=1e-13)
+    # the second case is wide: 256 modes and a centre 0.3 from the wall; the
+    # third has its centre outside the box
+    for L, nmax, c, s, w in ((2.0, 24, 0.4, 0.8, 2.5), (40.0, 256, 39.7, 0.5, 3.0),
+                             (1.0, 24, 1.6, 0.4, 0.7)):
+        ov = tf.axis_sine_overlaps(c, s, w, L, nmax)
+        for n in (1, 5, 20, nmax):
+            def band(x):
+                return math.sin(math.pi * n * (x - L) / (2 * L)) \
+                    * math.exp(-(x - c) ** 2 / (2 * s * s))
+            re = quad(lambda x: band(x) * math.cos(w * x), -L, L, limit=300)[0]
+            im = quad(lambda x: band(x) * math.sin(w * x), -L, L, limit=300)[0]
+            assert ov[n - 1] == pytest.approx(complex(re, im), rel=1e-9, abs=1e-13)
 
 
 def test_box_expansion_parseval():
@@ -237,6 +240,30 @@ def test_arithmetic_and_json_round_trip():
     assert tf.evaluate(back, xs) == pytest.approx(tf.evaluate(h, xs), rel=1e-15)
     with pytest.raises(DimensionMismatch):
         f + tf.gaussian(1.0, (0,), 1.0)
+
+
+def test_gauss_terms_and_json_reject_bad_input():
+    for bad in (dict(amp=complex(math.nan, 0)), dict(amp=complex(0, math.inf)),
+                dict(center=(0.0, math.nan)), dict(sigma=math.nan), dict(sigma=math.inf),
+                dict(wave=(math.inf, 0.0))):
+        args = dict(amp=1.0 + 0j, center=(0.0, 0.0), sigma=1.0, wave=(0.0, 0.0)) | bad
+        with pytest.raises(DomainViolation):
+            tf.GaussTerm(**args)
+    good = {"amp": [0.1, 0.0], "center": [0, 0], "sigma": 1.0, "wave": [0, 0]}
+    for bad in ([1], {"nu": 2}, {"terms": [good]}, {"nu": "2", "terms": [good]},
+                {"nu": 2.5, "terms": [good]}, {"nu": True, "terms": [good]},
+                {"nu": 0, "terms": []}, {"nu": 2, "terms": good}, {"nu": 2, "terms": [1]},
+                {"nu": 2, "terms": [{k: v for k, v in good.items() if k != "wave"}]},
+                {"nu": 2, "terms": [good | {"amp": [0.1]}]},
+                {"nu": 2, "terms": [good | {"amp": [0.1, 0, 0]}]},
+                {"nu": 2, "terms": [good | {"center": [0, 0, 0]}]},
+                {"nu": 2, "terms": [good | {"wave": [0]}]},
+                {"nu": 2, "terms": [good | {"sigma": "1"}]},
+                {"nu": 2, "terms": [good | {"center": ["0", 0]}]},
+                {"nu": 2, "terms": [good | {"sigma": [1.0]}]}):
+        with pytest.raises(InvalidSpec):
+            tf.from_json_dict(bad)
+    assert tf.from_json_dict({"nu": 2, "terms": [good]}).terms[0].sigma == 1.0
 
 
 @pytest.mark.parametrize("pair", [lambda f, g: tf.resolvent_pair(f, g, 0.3),
