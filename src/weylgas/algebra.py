@@ -17,10 +17,12 @@ exactly; coefficients below 1e-15 in magnitude are pruned after arithmetic.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, Mapping
 
 from .errors import (
+    InvalidSpec,
     MismatchedDimension,
     MismatchedHbar,
     NegativeHbar,
@@ -283,14 +285,22 @@ def to_json_dict(a: WeylElement) -> dict:
 
 
 def from_json_dict(d: Mapping) -> WeylElement:
-    hbar = float(d["hbar"])
-    raw = d["terms"]
-    if not raw:
-        raise ValueError("element must carry an explicit dimension via at least one term")
-    dim = len(raw[0]["label"])
+    """The WeylElement of a JSON object; InvalidSpec for missing keys,
+    values of the wrong type or length, non-finite numbers and an element
+    without terms (the first term carries the dimension)."""
+    try:
+        hbar = float(d["hbar"])
+        pairs = [(tuple(complex(re, im) for re, im in entry["label"]),
+                  complex(entry["coeff"][0], entry["coeff"][1])) for entry in d["terms"]]
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidSpec(f"malformed Weyl element: {exc!r}") from None
+    if not pairs:
+        raise InvalidSpec("element must carry an explicit dimension via at least one term")
+    if not math.isfinite(hbar) or not all(
+            cmath.isfinite(z) for label, c in pairs for z in (*label, c)):
+        raise InvalidSpec("Weyl element numbers must be finite")
     terms: dict[tuple[complex, ...], complex] = {}
-    for entry in raw:
-        label = _canon_label(complex(re, im) for re, im in entry["label"])
-        c = complex(entry["coeff"][0], entry["coeff"][1])
+    for label, c in pairs:
+        label = _canon_label(label)
         terms[label] = terms.get(label, 0.0) + c
-    return WeylElement(hbar, dim, terms)
+    return WeylElement(hbar, len(pairs[0][0]), terms)

@@ -68,8 +68,8 @@ def coherent_state(q, p, h: float) -> WavePacket:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if q.shape != p.shape or q.ndim != 1:
         raise DomainViolation("q and p must be equal-length vectors")
-    if h <= 0:
-        raise DomainViolation("coherent states need h > 0")
+    if not 0 < h < math.inf:
+        raise DomainViolation(f"coherent states need 0 < h < inf, got {h}")
     ell = q.size
     amp = (h * math.pi) ** (-ell / 4.0) * np.exp(-1j * float(q @ p) / (2.0 * h))
     return WavePacket(amp=amp, centers=tuple(q), sigmas=(math.sqrt(h),) * ell,
@@ -113,8 +113,8 @@ def weyl_action(lam, mu, psi: WavePacket, h: float) -> WavePacket:
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if lam.shape != (psi.ell,) or mu.shape != (psi.ell,):
         raise DomainViolation("label components must match the packet axes")
-    if h <= 0:
-        raise DomainViolation("the Schrodinger action needs h > 0")
+    if not 0 < h < math.inf:
+        raise DomainViolation(f"the Schrodinger action needs 0 < h < inf, got {h}")
     waves = np.asarray(psi.waves)
     phase = np.exp(1j * (h * float(lam @ mu) / 2.0 + h * float(waves @ mu)))
     return WavePacket(amp=psi.amp * phase,
@@ -179,8 +179,8 @@ def berezin_matrix_element(lam, mu, phi: WavePacket, psi: WavePacket, h: float,
     over dq dp/(2 pi h)^l, with a mandatory node-doubling consistency check."""
     if phi.ell != psi.ell:
         raise DomainViolation("packets live on different axis counts")
-    if h <= 0:
-        raise DomainViolation("the quadrature needs h > 0")
+    if not 0 < h < math.inf:
+        raise DomainViolation(f"the quadrature needs 0 < h < inf, got {h}")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if lam.shape != (phi.ell,) or mu.shape != (phi.ell,):
@@ -234,8 +234,8 @@ def berezin_positivity(symbol, v: WavePacket, h: float, *,
     """
     if v.ell != 1:
         raise DomainViolation("positivity probe supports single-axis packets")
-    if h <= 0:
-        raise DomainViolation("the quadrature needs h > 0")
+    if not 0 < h < math.inf:
+        raise DomainViolation(f"the quadrature needs 0 < h < inf, got {h}")
 
     def once(n):
         rq1, cq1, rp1, cp1 = _axis_rates(v.centers[0], v.sigmas[0], v.waves[0], h)

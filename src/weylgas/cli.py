@@ -11,6 +11,7 @@ quadrature certificates, bracket failures).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -41,16 +42,22 @@ def _parse_json(text: str, what: str):
 def _parse_label(text: str) -> tuple[complex, ...]:
     data = _parse_json(text, "label")
     try:
-        return tuple(complex(re, im) for re, im in data)
+        label = tuple(complex(re, im) for re, im in data)
     except (TypeError, ValueError) as exc:
         raise InvalidSpec("label must be [[re, im], ...]") from exc
+    if not all(cmath.isfinite(z) for z in label):
+        raise InvalidSpec(f"label entries must be finite, got {text!r}")
+    return label
 
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise InvalidSpec(f"expected comma-separated numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidSpec(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _emit(header: dict, result: dict) -> None:
@@ -89,6 +96,9 @@ def _cmd_solve_mu(args) -> dict:
 def _cmd_check_sdq(args) -> dict:
     f = _parse_label(args.f)
     g = _parse_label(args.g)
+    if args.count < 2 or not (0 < args.hmin < math.inf and 0 < args.hmax < math.inf) \
+            or args.hmin == args.hmax:
+        raise InvalidSpec("a slope needs --count >= 2 and distinct finite --hmin, --hmax > 0")
     hs = np.logspace(math.log10(args.hmin), math.log10(args.hmax), args.count)
     base = alg.weyl(f) + alg.weyl(g)
     rows = []
@@ -134,6 +144,8 @@ def _cmd_limit_scan(args) -> dict:
     # semiclassical: derive the quantum family from the classical target
     spec0 = st.spec_from_json(_parse_json(args.state, "--state"))
     hs = _parse_floats(args.hs)
+    if len(set(hs)) < 2:
+        raise InvalidSpec(f"a slope needs at least 2 distinct values in --hs, got {args.hs!r}")
     if spec0.kind == "ClassicalInfVol":
         family = lambda h: st.StateSpec(kind="QuantumInfVol", beta=spec0.beta,
                                         h=h, mu=spec0.mu, nu=spec0.nu)

@@ -254,8 +254,8 @@ def kms_residual(spec: st.StateSpec, deriv: WeakDerivationSpec, f, g, *,
 
     if mode != "fd":
         raise DomainViolation(f"mode must be 'analytic' or 'fd', got {mode!r}")
-    if dt <= 0:
-        raise DomainViolation("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise DomainViolation(f"dt must be positive and finite, got {dt}")
 
     vals = st.classical_shifted_expectation(
         spec, x, k, [0.0, dt, -dt, dt / 2.0, -dt / 2.0], rtol=rtol)

@@ -12,7 +12,7 @@ class WeylgasError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ValidationError(WeylgasError):
+class ValidationError(WeylgasError, ValueError):
     """Invalid or incompatible inputs."""
 
 

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 from . import algebra as alg
 from . import states as st
 from . import testfn as tf
-from .errors import InvalidSpec, NegativeHbar, NonzeroHbar
+from .errors import DomainViolation, InvalidSpec, NegativeHbar, NonzeroHbar
 
 __all__ = [
     "quantize", "preimage", "dirac_residual", "vonneumann_residual",
@@ -53,8 +53,12 @@ def preimage(a: alg.WeylElement) -> tuple[alg.WeylElement, float]:
     if a.hbar == 0.0:
         lo, _ = alg.norm_bounds(a)
         return a, lo
-    terms = {f: c * math.exp(a.hbar * alg.label_norm_sq(f) / 4.0)
-             for f, c in a.terms.items()}
+    try:
+        terms = {f: c * math.exp(a.hbar * alg.label_norm_sq(f) / 4.0)
+                 for f, c in a.terms.items()}
+    except OverflowError:
+        raise DomainViolation(
+            f"the preimage coefficients leave the float range at hbar = {a.hbar}") from None
     out = alg.WeylElement(0.0, a.dim, terms)
     lo, _ = alg.norm_bounds(out)
     return out, lo
@@ -88,7 +92,7 @@ def rieffel_profile(a: alg.WeylElement, h_grid: Sequence[float]) -> list[tuple[f
     """
     hs = list(h_grid)
     if any(h2 < h1 for h1, h2 in zip(hs, hs[1:])):
-        raise ValueError("h_grid must be sorted ascending")
+        raise DomainViolation("h_grid must be sorted ascending")
     out = []
     for h in hs:
         lo, up = alg.norm_bounds(quantize(a, h))
@@ -106,10 +110,10 @@ def nonsurjectivity_witness(f: Sequence[complex], n_max: int, h: float) -> dict:
     For h = 0 the two sequences coincide.
     """
     if n_max < 2:
-        raise ValueError(f"witness needs n_max >= 2, got {n_max}")
+        raise DomainViolation(f"witness needs n_max >= 2, got {n_max}")
     fvec = tuple(complex(z) for z in f)
     if all(z == 0 for z in fvec):
-        raise ValueError("witness requires a nonzero label")
+        raise DomainViolation("witness requires a nonzero label")
     target_l2 = []
     preimage_l2 = []
     partial = alg.WeylElement.zero(len(fvec), h)

@@ -34,8 +34,7 @@ from .errors import (
 
 __all__ = [
     "BoxSpectrum", "kappa", "eigenvalue", "ground_energy", "volume",
-    "mode_sum", "gaussian_axis_tail", "bose_weight", "heat_weight",
-    "count_below", "trace_h_power",
+    "mode_sum", "gaussian_axis_tail", "bose_weight", "trace_h_power",
 ]
 
 
@@ -61,18 +60,12 @@ def kappa(L: float) -> float:
         raise DomainViolation(f"kappa(L) leaves the float range at L = {L}") from None
 
 
-def eigenvalue(n: Sequence[int], L: float):
-    """E_n(L) = kappa(L) |n|^2.  Entries of n must be >= 1.
-
-    Accepts integer arrays in place of scalars for vectorized use, in which
-    case broadcasting applies and no index validation is performed.
-    """
-    if all(np.isscalar(v) or getattr(v, "ndim", 1) == 0 for v in n):
-        vals = [int(v) for v in n]
-        if any(v < 1 for v in vals):
-            raise InvalidIndex(f"mode indices must be >= 1, got {tuple(vals)}")
-        return kappa(L) * float(sum(v * v for v in vals))
-    return kappa(L) * sum(np.asarray(v) ** 2 for v in n)
+def eigenvalue(n: Sequence[int], L: float) -> float:
+    """E_n(L) = kappa(L) |n|^2.  Entries of n must be >= 1."""
+    vals = [int(v) for v in n]
+    if any(v < 1 for v in vals):
+        raise InvalidIndex(f"mode indices must be >= 1, got {tuple(vals)}")
+    return kappa(L) * float(sum(v * v for v in vals))
 
 
 def ground_energy(L: float, nu: int) -> float:
@@ -140,58 +133,58 @@ def _shell_sums(weight_sets: Sequence[Sequence[np.ndarray]],
 
 @lru_cache(maxsize=16)
 def _shell_table(cutoff: int, nu: int) -> tuple[np.ndarray, np.ndarray]:
-    """The occupied shells m = |n|^2 of [1..cutoff]^nu as (multiplicities,
-    one representative point per shell as a (nu, shells) float index
-    array); read-only.  Built from the binned first nu - 1 axes plus the
-    last axis as cutoff shifted copies."""
-    bins = _head_bins(cutoff, nu)
-    heads = np.bincount(bins)
-    first = np.empty(len(heads), dtype=np.int64)
-    first[bins] = np.arange(len(bins))
-    occupied = np.flatnonzero(heads)
-    # both indexed by m - nu
+    """The occupied shells m = |n|^2 of [1..cutoff]^nu as floats, ascending,
+    and their multiplicities; read-only.  Built from the binned first
+    nu - 1 axes plus the last axis as cutoff shifted copies."""
+    heads = np.bincount(_head_bins(cutoff, nu))
+    # indexed by m - nu
     mult = np.zeros(nu * cutoff ** 2 - nu + 1, dtype=np.int64)
-    rep = np.zeros_like(mult)
     for n in range(1, cutoff + 1):
         mult[n * n - 1:n * n - 1 + len(heads)] += heads
-        rep[occupied + n * n - 1] = first[occupied] * cutoff + n - 1
-    shells = np.flatnonzero(mult)
-    points = np.array(np.unravel_index(rep[shells], (cutoff,) * nu), dtype=float) + 1.0
-    mult = mult[shells]
-    for a in (mult, points):
+    occupied = np.flatnonzero(mult)
+    shells, mult = (occupied + nu).astype(float), mult[occupied]
+    for a in (shells, mult):
         a.flags.writeable = False
-    return mult, points
+    return shells, mult
 
 
-def _grid_sum(fn: Callable, cutoff: int, nu: int) -> float:
-    """sum over [1..cutoff]^nu of fn(index arrays), for fn a function of |n|^2.
-
-    Grouped by shells, the sum is sum_m fn(n_m) mult(m), with n_m one
-    representative of the shell m = |n|^2 and mult(m) its size (see
-    ``_shell_table``).  kappa |n|^2 of integer entries is exact, so every
-    representative gives the same bits.
-    """
-    mult, points = _shell_table(cutoff, nu)
-    return float(mult @ fn(*points))
+def _grid_sum(fn: Callable[[np.ndarray], np.ndarray], cutoff: int, nu: int) -> float:
+    """sum over n in [1..cutoff]^nu of fn(|n|^2), grouped by shells."""
+    shells, mult = _shell_table(cutoff, nu)
+    return float(mult @ fn(shells))
 
 
-def mode_sum(weight: Callable, spec: BoxSpectrum,
-             tail_bound: Callable[[int], float], tail_tol: float) -> tuple[float, float]:
+def mode_sum(weight: Callable[[np.ndarray], np.ndarray], spec: BoxSpectrum,
+             tail: float, tail_tol: float) -> tuple[float, float]:
     """Sum a real-valued mode weight over [1..cutoff]^nu with a certified tail.
 
-    ``weight`` receives ``nu`` broadcast-ready float arrays of mode indices
-    and must return the (broadcast) array of weights.  ``tail_bound(cutoff)``
-    is the caller's certified upper bound on the discarded sum; if it exceeds
-    ``tail_tol`` the partial value is not trusted and
-    TailToleranceExceeded is raised.
+    ``weight`` maps an array of float shells m = |n|^2 to the array of
+    weights.  ``tail`` is the caller's certified upper bound on the sum
+    beyond the cutoff; if it exceeds ``tail_tol`` the partial value is not
+    trusted and TailToleranceExceeded is raised.
     """
     value = _grid_sum(weight, spec.cutoff, spec.nu)
-    tail = float(tail_bound(spec.cutoff))
+    tail = float(tail)
     if not np.isfinite(tail) or tail > tail_tol:
         raise TailToleranceExceeded(
             f"certified tail {tail:.3e} exceeds tolerance {tail_tol:.3e} "
             f"at cutoff {spec.cutoff}")
     return value, tail
+
+
+def _product_excess(pairs: Sequence[tuple[float, float]]) -> float:
+    """prod_i (a_i + b_i) - prod_i a_i for a_i, b_i >= 0, telescoped as
+
+        sum_i b_i prod_{j < i} (a_j + b_j) prod_{j > i} a_j.
+
+    Every term is >= 0, so nothing cancels: the result is positive when
+    some b_i > 0 and every a_j > 0, and its relative rounding stays within
+    about 2 nu eps.
+    """
+    excess, gross = 0.0, 1.0
+    for a, b in pairs:
+        excess, gross = excess * a + gross * b, gross * (a + b)
+    return excess
 
 
 def gaussian_axis_tail(a: float, cutoff: int) -> float:
@@ -204,7 +197,8 @@ def gaussian_axis_tail(a: float, cutoff: int) -> float:
 
 
 def bose_weight(spec: BoxSpectrum, beta: float, h: float, mu: float):
-    """Weight x/(1-x), x = exp(-beta h (E_n - mu)), plus its tail certificate.
+    """Weight x/(1-x), x = exp(-beta h (kappa m - mu)), as a function of the
+    shell m = |n|^2, and the certified bound on its sum beyond the cutoff.
 
     The tail bound factorizes the Gaussian sum per axis and controls the
     Bose denominator by its value at the lowest tail energy.
@@ -212,50 +206,19 @@ def bose_weight(spec: BoxSpectrum, beta: float, h: float, mu: float):
     k = kappa(spec.L)
     bh = beta * h
 
-    def weight(*ns):
-        x = np.exp(-bh * (k * sum(n * n for n in ns) - mu))
+    def weight(m):
+        x = np.exp(-bh * (k * m - mu))
         return x / (1.0 - x)
 
-    def tail_bound(cutoff: int) -> float:
-        s_ax = float(np.sum(np.exp(-bh * k * np.arange(1, cutoff + 1) ** 2)))
-        t_ax = gaussian_axis_tail(bh * k, cutoff)
-        gross = (s_ax + t_ax) ** spec.nu - s_ax ** spec.nu
-        e_tail_min = k * ((cutoff + 1) ** 2 + (spec.nu - 1))
-        x_max = math.exp(-bh * (e_tail_min - mu))
-        if x_max >= 1.0:
-            return math.inf
-        return math.exp(bh * mu) * gross / (1.0 - x_max)
-
-    return weight, tail_bound
-
-
-def heat_weight(spec: BoxSpectrum, s: float):
-    """Weight exp(-s E_n) with a factorized Gaussian tail certificate."""
-    if s <= 0:
-        raise DomainViolation("heat parameter must be positive")
-    k = kappa(spec.L)
-
-    def weight(*ns):
-        return np.exp(-s * k * sum(n * n for n in ns))
-
-    def tail_bound(cutoff: int) -> float:
-        s_ax = float(np.sum(np.exp(-s * k * np.arange(1, cutoff + 1) ** 2)))
-        t_ax = gaussian_axis_tail(s * k, cutoff)
-        return (s_ax + t_ax) ** spec.nu - s_ax ** spec.nu
-
-    return weight, tail_bound
-
-
-def count_below(spec: BoxSpectrum, lam: float) -> int:
-    """#{n <= cutoff componentwise : E_n <= lam}; exact when the cutoff shell
-    clears lam, i.e. kappa (cutoff+1)^2 > lam."""
-    k = kappa(spec.L)
-    if k * (spec.cutoff + 1) ** 2 <= lam:
-        raise TailToleranceExceeded(
-            f"cutoff {spec.cutoff} does not enclose the level set E <= {lam}")
-    count = _grid_sum(lambda *ns: (k * sum(n * n for n in ns) <= lam).astype(float),
-                      spec.cutoff, spec.nu)
-    return int(round(count))
+    cutoff = spec.cutoff
+    s_ax = float(np.sum(np.exp(-bh * k * np.arange(1, cutoff + 1) ** 2)))
+    t_ax = gaussian_axis_tail(bh * k, cutoff)
+    e_tail_min = k * ((cutoff + 1) ** 2 + (spec.nu - 1))
+    x_max = math.exp(-bh * (e_tail_min - mu))
+    if x_max >= 1.0:
+        return weight, math.inf
+    gross = _product_excess([(s_ax, t_ax)] * spec.nu)
+    return weight, math.exp(bh * mu) * gross / (1.0 - x_max)
 
 
 # -- trace classifier ---------------------------------------------------------
@@ -335,8 +298,7 @@ def trace_h_power(s: float, spec: BoxSpectrum) -> tuple[float, bool]:
 
     if not converged:
         with np.errstate(over="ignore"):
-            value = _grid_sum(lambda *ns: (k * sum(n * n for n in ns)) ** (-s),
-                              spec.cutoff, spec.nu)
+            value = _grid_sum(lambda m: (k * m) ** (-s), spec.cutoff, spec.nu)
     else:
         scaled, err = _theta_mellin(s, spec.nu)
         if not err <= 1e-12 * scaled:

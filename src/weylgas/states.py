@@ -53,6 +53,7 @@ from .errors import (
     DomainViolation,
     InvalidSpec,
     TailToleranceExceeded,
+    ValidationError,
 )
 
 __all__ = [
@@ -214,11 +215,10 @@ def _axis_tail_sq_bound(center: float, sigma: float, wave: float,
     return gauss + poly
 
 
-def _box_weight(spec: StateSpec, e, exp=np.exp):
-    """F at box energies e: an ndarray, or the scalar tail energy with
-    ``exp`` = math.exp."""
+def _box_weight(spec: StateSpec, e):
+    """F at box energies e (an ndarray or a scalar)."""
     if spec.h:
-        x = exp(-spec.beta * spec.h * (e - spec.mu))
+        x = np.exp(-spec.beta * spec.h * (e - spec.mu))
         return (1.0 + x) / (1.0 - x)
     return 1.0 / (spec.beta * (e - spec.mu))
 
@@ -233,6 +233,12 @@ def _box_quadform(f: tf.TestFunction, spec: StateSpec,
     through the shell m = |n|^2, so each term pair (s, t) contributes
     sum_m F(kappa m) S_st(m) with S_st(m) the sum over |n|^2 = m of
     prod_i conj(o_si(n_i)) o_ti(n_i) (``spectrum._shell_sums``).
+
+    The tail bounds, per term, the overlap-squared sum outside the cutoff
+    box by prod_i (|o_ti|^2 + b_ti) - prod_i |o_ti|^2 with b_ti the axis
+    tail bounds.  That excess is telescoped (``spectrum._product_excess``),
+    so it does not cancel: it is positive when some b_ti > 0 and every
+    |o_ti|^2 > 0, and its relative rounding stays within about 2 nu eps.
     """
     box = spec.box
     if f.nu != box.nu:
@@ -261,13 +267,10 @@ def _box_quadform(f: tf.TestFunction, spec: StateSpec,
     # F decreases in E, so its value at the lowest energy beyond the cutoff
     # shell bounds the weight of every discarded mode
     n_terms = len(f.terms)
-    tail_sq = 0.0
-    for t, term in zip(f.terms, per_term):
-        gross = math.prod(sq + bound for _, sq, bound in term) \
-            - math.prod(sq for _, sq, _ in term)
-        tail_sq += abs(t.amp) ** 2 * gross
+    tail_sq = sum(abs(t.amp) ** 2 * sp._product_excess([(sq, bound) for _, sq, bound in term])
+                  for t, term in zip(f.terms, per_term))
     e_tail = k * ((C + 1) ** 2 + box.nu - 1)
-    tail = _box_weight(spec, e_tail, math.exp) * L ** (-box.nu) * n_terms * tail_sq
+    tail = float(_box_weight(spec, e_tail) * L ** (-box.nu) * n_terms * tail_sq)
     if not math.isfinite(tail) or tail > tail_tol:
         raise TailToleranceExceeded(
             f"certified box tail {tail:.3e} exceeds tolerance {tail_tol:.3e} "
@@ -457,9 +460,9 @@ def quantum_density(spec: StateSpec, *, tail_tol: float = 1e-12) -> float:
     if spec.kind == "QuantumCondensate":
         return float(spec.rho_bar)
     if spec.kind == "QuantumBoxGibbs":
-        weight, tail_bound = sp.bose_weight(spec.box, spec.beta, spec.h, spec.mu)
+        weight, tail = sp.bose_weight(spec.box, spec.beta, spec.h, spec.mu)
         vol = sp.volume(spec.box.L, spec.box.nu)
-        value, _ = sp.mode_sum(weight, spec.box, tail_bound, tail_tol * vol)
+        value, _ = sp.mode_sum(weight, spec.box, tail, tail_tol * vol)
         return value / vol
     if spec.kind != "QuantumInfVol":
         raise InvalidSpec("density is defined for quantum kinds")
@@ -530,6 +533,8 @@ def spec_from_json(d: Mapping) -> StateSpec:
             box=box,
             nu=int(d.get("nu", box.nu if box is not None else 3)),
         )
+    except ValidationError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"malformed state spec: {exc!r}") from None
     return StateSpec(**fields)

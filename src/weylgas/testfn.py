@@ -39,7 +39,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLow,
     DomainViolation,
-    InvalidIndex,
     InvalidSpec,
     QuadratureFailure,
 )
@@ -47,8 +46,7 @@ from .errors import (
 __all__ = [
     "GaussTerm", "TestFunction", "MultiplierApplied", "gaussian",
     "fourier_transform", "inner_product", "norm_sq", "space_integral",
-    "integral_of", "evaluate", "restricted_norm_sq",
-    "box_overlap", "axis_sine_overlaps",
+    "integral_of", "evaluate", "restricted_norm_sq", "axis_sine_overlaps",
     "heat_pair", "ham_pair", "invham_pair", "resolvent_pair", "thermal_pair",
     "to_json_dict", "from_json_dict",
 ]
@@ -125,6 +123,9 @@ def gaussian(amp: complex, center: Sequence[float], sigma: float,
 
 
 def evaluate(f: TestFunction, x: Sequence[float]) -> complex:
+    """f(x), summed term by term.  A reference implementation: tests
+    compare the Fourier transform, the norm and the JSON round trip
+    against it."""
     x = np.asarray(x, dtype=float)
     total = 0.0 + 0.0j
     for t in f.terms:
@@ -456,32 +457,11 @@ def axis_sine_overlaps(center: float, sigma: float, wave: float, L: float,
     return (quarter * window(wave + k) - quarter.conjugate() * window(wave - k)) / 2j
 
 
-def box_overlap(f: TestFunction, n: Sequence[int], L: float) -> complex:
-    """<psi_n, f> for the orthonormal Dirichlet eigenfunction
-
-        psi_n(x) = L^{-nu/2} prod_i sin(pi n_i (x_i - L)/(2L))
-
-    on the box [-L, L]^nu.  Mode indices must be >= 1 componentwise.
-    """
-    n = tuple(int(v) for v in n)
-    if len(n) != f.nu:
-        raise DimensionMismatch(f"mode of length {len(n)} for nu={f.nu}")
-    if any(v < 1 for v in n):
-        raise InvalidIndex(f"mode indices must be >= 1, got {n}")
-    if L <= 0:
-        raise DomainViolation("L must be positive")
-    total = 0.0 + 0.0j
-    for t in f.terms:
-        val = t.amp
-        for i in range(f.nu):
-            table = axis_sine_overlaps(t.center[i], t.sigma, t.wave[i], L, n[i])
-            val *= table[n[i] - 1]
-        total += val
-    return complex(total * L ** (-f.nu / 2.0))
-
-
 def restricted_norm_sq(f: TestFunction, L: float) -> float:
-    """|f|^2 over the box [-L, L]^nu, by per-axis Gauss-Legendre pairings."""
+    """|f|^2 over the box [-L, L]^nu, by per-axis Gauss-Legendre pairings.
+
+    A reference implementation: tests compare the Parseval sum of the
+    box-mode overlaps against it."""
     total = 0.0 + 0.0j
     for s in f.terms:
         for t in f.terms:

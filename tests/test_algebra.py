@@ -8,6 +8,7 @@ from weylgas import algebra as alg
 from weylgas.algebra import WeylElement
 from weylgas.errors import MismatchedDimension, MismatchedHbar, NegativeHbar, \
     NonzeroHbar, ZeroHbar
+from weylgas.errors import InvalidSpec
 
 
 def coords(dim, lo=-3.0, hi=3.0):
@@ -197,3 +198,21 @@ def test_norm_bounds_bracket_l2(a):
     l2 = math.sqrt(sum(abs(v) ** 2 for v in a.terms.values()))
     assert lo == pytest.approx(l2, rel=1e-12)
     assert up >= lo - 1e-15
+
+
+@pytest.mark.parametrize("d", [
+    {}, 5, [1], {"terms": []}, {"hbar": 0.0}, {"hbar": "x", "terms": []},
+    {"hbar": 0.0, "terms": []},
+    {"hbar": 0.0, "terms": [[1]]},
+    {"hbar": 0.0, "terms": [{"label": [[1, 0]]}]},
+    {"hbar": 0.0, "terms": [{"label": [[1, 0]], "coeff": [1]}]},
+    {"hbar": 0.0, "terms": [{"label": [1], "coeff": [1, 0]}]},
+    {"hbar": 0.0, "terms": [{"label": [["a", "b"]], "coeff": [1, 0]}]},
+    {"hbar": 0.0, "terms": [{"label": [[10 ** 400, 0]], "coeff": [1, 0]}]},
+    {"hbar": math.nan, "terms": [{"label": [[1, 0]], "coeff": [1, 0]}]},
+    {"hbar": 0.0, "terms": [{"label": [[math.inf, 0]], "coeff": [1, 0]}]},
+    {"hbar": 0.0, "terms": [{"label": [[1, 0]], "coeff": [math.nan, 0]}]},
+])
+def test_from_json_dict_rejects_malformed_input(d):
+    with pytest.raises(InvalidSpec):
+        alg.from_json_dict(d)

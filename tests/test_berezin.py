@@ -114,3 +114,14 @@ def test_domain_errors():
         bz.overlap(psi, two_axis)
     with pytest.raises(DomainViolation):
         bz.berezin_positivity(bz.TrigPolySymbol([1.0], [(0, 0)]), two_axis, 1.0)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_non_finite_h_is_rejected(h):
+    psi = bz.coherent_state([0.0], [0.0], 1.0)
+    for call in (lambda: bz.coherent_state([0.0], [0.0], h),
+                 lambda: bz.weyl_action([1.0], [0.0], psi, h),
+                 lambda: bz.berezin_matrix_element([1.0], [0.0], psi, psi, h),
+                 lambda: bz.berezin_positivity(bz.TrigPolySymbol([1.0], [(0, 0)]), psi, h)):
+        with pytest.raises(DomainViolation):
+            call()

@@ -118,6 +118,20 @@ def test_compute_state_json(capsys):
     assert result["tail_bound"] >= 0.0
 
 
+def test_box_tail_of_a_tiny_excess_is_positive(capsys):
+    # the tail excess is below 1e-16 of the truncated norm: a difference of
+    # products rounds it to 0.0
+    state = json.dumps({"kind": "ClassicalBoxGibbs", "beta": 1, "mu": 0.0122,
+                        "box": {"L": 10, "nu": 1, "cutoff": 48}})
+    fn = json.dumps({"nu": 1, "terms": [{"amp": [-0.21, -0.18], "center": [2.42],
+                                         "sigma": 1.22, "wave": [-1.57]}]})
+    code, out = run(capsys, "compute-state", "--state", state, "--fn", fn)
+    assert code == 0
+    _, result = parse2(out)
+    assert result["value"] == 0.0014020886839252954
+    assert result["tail_bound"] > 0.0
+
+
 def test_check_kms_analytic(capsys):
     state = json.dumps({"kind": "ClassicalInfVol", "beta": 1.0, "mu": -0.5,
                         "nu": 3})
@@ -193,6 +207,23 @@ _FN = json.dumps({"nu": 3, "terms": [{"amp": [0.1, 0.0], "center": [0, 0, 0],
     ["sample-gibbs", "--eigenvalues", "1,2", "--beta", "nan", "--label", "[[1,0],[0,0.5]]",
      "--count", "100", "--seed", "1"],
     ["solve-mu", "--rho", "nan", "--L", "2", "--beta", "1", "--h", "1"],
+    ["witness", "--f", "[[1,0]]", "--n-max", "1"],
+    ["witness", "--f", "[[0,0]]", "--n-max", "5"],
+    ["witness", "--f", "[[1,0]]", "--n-max", "54"],
+    ["limit-scan", "--mode", "thermodynamic", "--alpha", "0.1", "--Ls", "nan", "--fn", _FN],
+    ["check-sdq", "--f", "[[NaN,0]]", "--g", "[[0,1]]", "--count", "3"],
+    ["witness", "--f", "[[Infinity,0]]"],
+    ["sample-gibbs", "--eigenvalues", "1", "--beta", "1", "--label", "[[NaN,0]]"],
+    ["berezin-verify", "--h", "nan"],
+    ["berezin-verify", "--lambda", "nan"],
+    ["check-kms", "--mode", "fd", "--dt", "nan",
+     "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
+    ["check-sdq", "--f", "[[1,0]]", "--g", "[[0,1]]", "--count", "1"],
+    ["limit-scan", "--mode", "semiclassical", "--hs", "0.1",
+     "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--fn", _FN],
+    ["check-sdq", "--f", "[[1,0]]", "--g", "[[0,1]]", "--hmin", "0.1", "--hmax", "0.1"],
+    ["check-kms", "--mode", "fd", "--dt", "inf",
+     "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
 ])
 def test_bad_inputs_exit_two_without_traceback(capsys, argv):
     code = cli.main(argv)

@@ -10,6 +10,7 @@ from weylgas import states as st
 from weylgas import testfn as tf
 from weylgas.errors import InvalidSpec, MismatchedDimension, NegativeHbar, \
     NonzeroHbar
+from weylgas.errors import DomainViolation
 
 
 def test_quantize_scales_each_coefficient():
@@ -152,3 +153,16 @@ def test_pullback_validates():
         qz.pullback_expectation(qspec, a, [tf.gaussian(0.1, (0, 0, 0), 1.0)] * 2)
     with pytest.raises(NonzeroHbar):
         qz.pullback_expectation(qspec, alg.weyl((1j,), 0.1), [tf.gaussian(0.1, (0, 0, 0), 1.0)])
+
+
+def test_bad_witness_and_profile_inputs_are_domain_violations():
+    with pytest.raises(DomainViolation):
+        qz.rieffel_profile(alg.weyl((1j,), 0.0), [0.1, 0.05])
+    with pytest.raises(DomainViolation):
+        qz.nonsurjectivity_witness((1 + 0j,), 1, 1.0)
+    with pytest.raises(DomainViolation):
+        qz.nonsurjectivity_witness((0j,), 5, 1.0)
+    # exp(h n^2 |f|^2 / 4) leaves the float range at n = 54
+    with pytest.raises(DomainViolation):
+        qz.nonsurjectivity_witness((1 + 0j,), 54, 1.0)
+    assert len(qz.nonsurjectivity_witness((1 + 0j,), 53, 1.0)["preimage_l2"]) == 53

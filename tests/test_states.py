@@ -423,3 +423,12 @@ def test_box_expectation_of_the_zero_function_is_one():
     zero = tf.TestFunction(3, ())
     assert st.weyl_expectation(qbox(), zero) == 1.0
     assert st.weyl_expectation(cbox(), zero) == 1.0
+
+
+def test_spec_from_json_passes_validation_errors_through():
+    # ValidationError is a ValueError; the box's own InvalidSpec is not re-wrapped
+    assert issubclass(ValidationError, ValueError)
+    d = {"kind": "QuantumBoxGibbs", "beta": 1.0, "h": 1.0, "mu": 0.0,
+         "box": {"L": -1.0, "nu": 3, "cutoff": 8}}
+    with pytest.raises(InvalidSpec, match="^box half-width"):
+        st.spec_from_json(d)

@@ -7,8 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from weylgas import testfn as tf
-from weylgas.errors import DimensionMismatch, DimensionTooLow, DomainViolation, \
-    InvalidIndex
+from weylgas.errors import DimensionMismatch, DimensionTooLow, DomainViolation
 from weylgas.errors import InvalidSpec
 
 
@@ -206,20 +205,6 @@ def test_box_expansion_parseval():
     p12 = float(np.sum(np.abs(t12) ** 2))
     assert p6 <= p12 <= target * (1 + 1e-9)
     assert p12 == pytest.approx(target, rel=1e-6)
-    # spot-check the scalar entry point against the tensor
-    for n in ((1, 1, 1), (3, 2, 5), (12, 7, 1)):
-        assert tf.box_overlap(f, n, L) == pytest.approx(
-            complex(t12[n[0] - 1, n[1] - 1, n[2] - 1]), rel=1e-12)
-
-
-def test_box_overlap_validation():
-    f = tf.gaussian(0.3, (0, 0, 0), 0.5)
-    with pytest.raises(InvalidIndex):
-        tf.box_overlap(f, (0, 1, 1), 1.0)
-    with pytest.raises(DimensionMismatch):
-        tf.box_overlap(f, (1, 1), 1.0)
-    with pytest.raises(DomainViolation):
-        tf.box_overlap(f, (1, 1, 1), -2.0)
 
 
 def test_multiplier_integral():
