@@ -22,6 +22,7 @@ import math
 from typing import Iterable, Mapping
 
 from .errors import (
+    DomainViolation,
     InvalidSpec,
     MismatchedDimension,
     MismatchedHbar,
@@ -74,6 +75,8 @@ class WeylElement:
     def __init__(self, hbar: float, dim: int, terms: Mapping[tuple[complex, ...], complex]):
         if hbar < 0:
             raise NegativeHbar(f"hbar = {hbar}")
+        if not math.isfinite(hbar):
+            raise DomainViolation(f"hbar must be finite, got {hbar}")
         self.hbar = float(hbar)
         self.dim = int(dim)
         clean: dict[tuple[complex, ...], complex] = {}

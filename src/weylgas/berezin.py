@@ -147,6 +147,9 @@ def _gh_axis(rate: float, center: float, nodes: int):
 
 
 _MARGIN = 0.75  # widen the GH envelope to absorb center mismatch
+# Gauss-Hermite nodes per axis of the coarse rule; the fine rule doubles them
+_ELEMENT_NODES = 80
+_POSITIVITY_NODES = 120
 
 
 def _berezin_once(lam, mu, phi, psi, h, nodes):
@@ -173,8 +176,8 @@ def _berezin_once(lam, mu, phi, psi, h, nodes):
     return out
 
 
-def berezin_matrix_element(lam, mu, phi: WavePacket, psi: WavePacket, h: float,
-                           *, nodes: int = 80) -> complex:
+def berezin_matrix_element(lam, mu, phi: WavePacket, psi: WavePacket,
+                           h: float) -> complex:
     """Phase-space quadrature of e^{i(lam.q+mu.p)} <phi, psi^{qp}><psi^{qp}, psi>
     over dq dp/(2 pi h)^l, with a mandatory node-doubling consistency check."""
     if phi.ell != psi.ell:
@@ -185,24 +188,26 @@ def berezin_matrix_element(lam, mu, phi: WavePacket, psi: WavePacket, h: float,
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if lam.shape != (phi.ell,) or mu.shape != (phi.ell,):
         raise DomainViolation("label components must match the packet axes")
-    if nodes < 8:
-        raise DomainViolation("need at least 8 quadrature nodes")
-    coarse = _berezin_once(lam, mu, phi, psi, h, nodes)
-    fine = _berezin_once(lam, mu, phi, psi, h, 2 * nodes)
-    if abs(fine - coarse) > 1e-8 * max(1.0, abs(fine)):
+    # an integrand whose values leave the float range yields NaN, which
+    # fails the node-doubling check below
+    try:
+        with np.errstate(all="ignore"):
+            coarse = _berezin_once(lam, mu, phi, psi, h, _ELEMENT_NODES)
+            fine = _berezin_once(lam, mu, phi, psi, h, 2 * _ELEMENT_NODES)
+    except ArithmeticError:
+        raise DomainViolation(f"the quadrature rates leave the float range at h = {h}") from None
+    if not abs(fine - coarse) <= 1e-8 * max(1.0, abs(fine)):
         raise QuadratureFailure(
             f"matrix-element quadrature unstable under node doubling: "
             f"{coarse} vs {fine}")
     return fine
 
 
-def overcompleteness_check(phi: WavePacket, h: float, *,
-                           nodes: int = 80) -> tuple[float, float]:
+def overcompleteness_check(phi: WavePacket, h: float) -> tuple[float, float]:
     """Resolution of identity on the diagonal: the (0,0) quadrature against
     |phi|^2.  Returns (quadrature value, closed form)."""
     ell = phi.ell
-    quad = berezin_matrix_element(np.zeros(ell), np.zeros(ell), phi, phi, h,
-                                  nodes=nodes)
+    quad = berezin_matrix_element(np.zeros(ell), np.zeros(ell), phi, phi, h)
     return float(quad.real), norm_sq(phi)
 
 
@@ -225,8 +230,7 @@ class TrigPolySymbol:
         return np.abs(acc) ** 2
 
 
-def berezin_positivity(symbol, v: WavePacket, h: float, *,
-                       nodes: int = 120) -> float:
+def berezin_positivity(symbol, v: WavePacket, h: float) -> float:
     """<v, Op_h(symbol) v> = int symbol(q,p) |<psi^{qp}, v>|^2 dq dp/(2 pi h)^l.
 
     Nonnegative for pointwise nonnegative symbols; single-axis packets only
@@ -249,9 +253,9 @@ def berezin_positivity(symbol, v: WavePacket, h: float, *,
         grid = np.asarray(symbol(Q, P), dtype=float) * dens
         return float(qfac @ grid @ pfac) / (2.0 * math.pi * h)
 
-    coarse = once(nodes)
-    fine = once(2 * nodes)
-    if abs(fine - coarse) > 1e-8 * max(1.0, abs(fine)):
+    coarse = once(_POSITIVITY_NODES)
+    fine = once(2 * _POSITIVITY_NODES)
+    if not abs(fine - coarse) <= 1e-8 * max(1.0, abs(fine)):
         raise QuadratureFailure(
             f"positivity quadrature unstable under node doubling: "
             f"{coarse} vs {fine}")

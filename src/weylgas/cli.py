@@ -81,8 +81,7 @@ def _c2(z: complex) -> list[float]:
 def _cmd_compute_state(args) -> dict:
     spec = st.spec_from_json(_parse_json(args.state, "--state"))
     fn = tf.from_json_dict(_parse_json(args.fn, "--fn"))
-    value, tail = st.weyl_expectation_with_tail(
-        spec, fn, tail_tol=args.tail_tol, rtol=args.rtol)
+    value, tail = st.weyl_expectation_with_tail(spec, fn, tail_tol=args.tail_tol)
     return {"value": value, "tail_bound": tail}
 
 
@@ -120,8 +119,10 @@ def _cmd_check_sdq(args) -> dict:
 def _cmd_check_kms(args) -> dict:
     spec = st.spec_from_json(_parse_json(args.state, "--state"))
     dv = _parse_json(args.deriv, "--deriv")
-    deriv = eq.WeakDerivationSpec(kind=dv.get("kind", "H"),
-                                  mu=float(dv.get("mu", 0.0)))
+    mu = dv.get("mu", 0.0) if isinstance(dv, dict) else None
+    if isinstance(mu, bool) or not isinstance(mu, (int, float)):
+        raise InvalidSpec(f'--deriv must be {{"kind": ..., "mu": number}}, got {args.deriv!r}')
+    deriv = eq.WeakDerivationSpec(kind=dv.get("kind", "H"), mu=float(mu))
     f = tf.from_json_dict(_parse_json(args.f, "--f"))
     g = tf.from_json_dict(_parse_json(args.g, "--g"))
     residual = eq.kms_residual(spec, deriv, f, g, mode=args.mode, dt=args.dt)
@@ -134,6 +135,8 @@ def _cmd_limit_scan(args) -> dict:
         if args.alpha is None:
             raise InvalidSpec("thermodynamic mode needs --alpha")
         ls = _parse_floats(args.Ls)
+        if len(set(ls)) < 2:
+            raise InvalidSpec(f"a scan needs at least 2 distinct values in --Ls, got {args.Ls!r}")
         out = eq.thermodynamic_scan(args.alpha, args.beta, fn, ls, nu=args.nu)
         if args.out:
             _write_csv(args.out, ["L", "value", "err"], out)
@@ -142,6 +145,8 @@ def _cmd_limit_scan(args) -> dict:
                 "monotone": all(a > b for a, b in zip(errs, errs[1:]))}
 
     # semiclassical: derive the quantum family from the classical target
+    if args.state is None:
+        raise InvalidSpec("semiclassical mode needs --state")
     spec0 = st.spec_from_json(_parse_json(args.state, "--state"))
     hs = _parse_floats(args.hs)
     if len(set(hs)) < 2:
@@ -184,8 +189,7 @@ def _cmd_berezin_verify(args) -> dict:
     if lam.size != args.l or mu.size != args.l:
         raise InvalidSpec("--lambda and --mu must have --l components")
     ground = bz.coherent_state(np.zeros(args.l), np.zeros(args.l), args.h)
-    quad = bz.berezin_matrix_element(lam, mu, ground, ground, args.h,
-                                     nodes=args.nodes)
+    quad = bz.berezin_matrix_element(lam, mu, ground, ground, args.h)
     damp = math.exp(-args.h * float(lam @ lam + mu @ mu) / 4.0)
     closed = damp * bz.schrodinger_matrix_element(lam, mu, ground, ground, args.h)
     rel = abs(quad - closed) / max(abs(closed), 1e-300)
@@ -222,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="StateSpec JSON")
     p.add_argument("--fn", required=True, help="TestFunction JSON")
     p.add_argument("--tail-tol", type=float, default=1e-9)
-    p.add_argument("--rtol", type=float, default=1e-12)
     p.set_defaults(run=_cmd_compute_state)
 
     p = sub.add_parser("solve-mu", help="chemical potential for a target density")
@@ -282,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="1.0", help="comma vector")
     p.add_argument("--mu", default="0.0", help="comma vector")
     p.add_argument("--h", type=float, default=1.0)
-    p.add_argument("--nodes", type=int, default=80)
     p.set_defaults(run=_cmd_berezin_verify)
 
     p = sub.add_parser("critical-density", help="critical density of the gas")

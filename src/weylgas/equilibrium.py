@@ -51,6 +51,8 @@ class WeakDerivationSpec:
     def __post_init__(self):
         if self.kind not in ("H", "HMinusMu"):
             raise InvalidSpec(f"unknown derivation kind {self.kind!r}")
+        if not math.isfinite(self.mu):
+            raise InvalidSpec(f"derivation mu must be finite, got {self.mu}")
         if self.kind == "H" and self.mu != 0.0:
             raise InvalidSpec("kind 'H' carries no chemical potential shift")
 
@@ -75,6 +77,8 @@ def solve_mu_quantum(rho_target: float, box: sp.BoxSpectrum, beta: float,
         raise NonPositiveTarget(f"target density must be positive, got {rho_target}")
     if beta <= 0 or h <= 0:
         raise DomainViolation("beta and h must be positive")
+    if not rel_tol > 0:
+        raise DomainViolation(f"rel_tol must be positive, got {rel_tol}")
     e0 = sp.ground_energy(box.L, box.nu)
 
     def density(mu: float) -> float:
@@ -150,23 +154,16 @@ def condensate_fraction_limit(rho_of_h: Callable[[float], float], beta: float,
     return out
 
 
-def _label_norm_sq(f) -> float:
-    if isinstance(f, Mapping):
-        return st.mode_norm_sq(f)
-    return tf.norm_sq(f)
-
-
 def semiclassical_scan(spec_family: Callable[[float], st.StateSpec],
                        classical_spec: st.StateSpec, f,
-                       h_grid: Sequence[float], *, tail_tol: float = 1e-9,
-                       rtol: float = 1e-12) -> list[tuple[float, float]]:
+                       h_grid: Sequence[float]) -> list[tuple[float, float]]:
     """|omega_h(Q_h(W0(f))) - omega_0(W0(f))| along ``h_grid``.
 
     ``spec_family`` maps h to the quantum StateSpec; the pullback through
     quantization contributes the Gaussian factor exp(-h |f|^2/4).
     """
-    target = st.weyl_expectation(classical_spec, f, tail_tol=tail_tol, rtol=rtol)
-    nsq = _label_norm_sq(f)
+    target = st.weyl_expectation(classical_spec, f)
+    nsq = st.mode_norm_sq(f) if isinstance(f, Mapping) else tf.norm_sq(f)
     out = []
     for h in h_grid:
         if h <= 0:
@@ -174,8 +171,7 @@ def semiclassical_scan(spec_family: Callable[[float], st.StateSpec],
         spec = spec_family(h)
         if spec.kind not in st.QUANTUM_KINDS:
             raise InvalidSpec("spec_family must produce quantum states")
-        val = math.exp(-h * nsq / 4.0) * st.weyl_expectation(
-            spec, f, tail_tol=tail_tol, rtol=rtol)
+        val = math.exp(-h * nsq / 4.0) * st.weyl_expectation(spec, f)
         out.append((float(h), abs(val - target)))
     return out
 
@@ -186,9 +182,8 @@ def _scan_cutoff(f: tf.TestFunction, L: float) -> int:
 
 
 def thermodynamic_scan(alpha: float, beta: float, f: tf.TestFunction,
-                       L_grid: Sequence[float], *, nu: int = 3,
-                       tail_tol: float = 1e-9,
-                       rtol: float = 1e-12) -> list[tuple[float, float, float]]:
+                       L_grid: Sequence[float], *,
+                       nu: int = 3) -> list[tuple[float, float, float]]:
     """(L, omega_L(W0(f)), |omega_L - omega_inf|) along ``L_grid``.
 
     omega_L is the classical box Gibbs state at the net potential
@@ -197,13 +192,13 @@ def thermodynamic_scan(alpha: float, beta: float, f: tf.TestFunction,
     """
     target_spec = st.StateSpec(kind="ClassicalCondensate", beta=beta,
                                alpha=alpha, nu=nu)
-    target = st.weyl_expectation(target_spec, f, rtol=rtol)
+    target = st.weyl_expectation(target_spec, f)
     out = []
     for L in L_grid:
         mu_l = mu_net_classical(alpha, L, beta, nu)
         box = sp.BoxSpectrum(L=float(L), nu=nu, cutoff=_scan_cutoff(f, L))
         spec = st.StateSpec(kind="ClassicalBoxGibbs", beta=beta, mu=mu_l, box=box)
-        val = st.weyl_expectation(spec, f, tail_tol=tail_tol, rtol=rtol)
+        val = st.weyl_expectation(spec, f)
         out.append((float(L), val, abs(val - target)))
     return out
 
@@ -227,8 +222,7 @@ def _merge_maps(f: Mapping, g: Mapping) -> dict:
 
 
 def kms_residual(spec: st.StateSpec, deriv: WeakDerivationSpec, f, g, *,
-                 mode: str = "analytic", dt: float = 1e-3,
-                 rtol: float = 1e-12) -> float:
+                 mode: str = "analytic", dt: float = 1e-3) -> float:
     """|sigma(g,f) omega(W(f+g)) - i beta omega(Phi(i(H-shift)f) W(f+g))|.
 
     Vanishes identically when the derivation matches the state's generator
@@ -249,8 +243,8 @@ def kms_residual(spec: st.StateSpec, deriv: WeakDerivationSpec, f, g, *,
 
     if mode == "analytic":
         # omega(Phi(k) W(x)) = i Re B(x, k) omega(W(x)), and omega(W(x)) > 0
-        omega = st.weyl_expectation(spec, x, rtol=rtol)
-        return abs(sig + spec.beta * st._form(spec, x, k, rtol).real) * omega
+        omega = st.weyl_expectation(spec, x)
+        return abs(sig + spec.beta * st._form(spec, x, k).real) * omega
 
     if mode != "fd":
         raise DomainViolation(f"mode must be 'analytic' or 'fd', got {mode!r}")
@@ -258,7 +252,7 @@ def kms_residual(spec: st.StateSpec, deriv: WeakDerivationSpec, f, g, *,
         raise DomainViolation(f"dt must be positive and finite, got {dt}")
 
     vals = st.classical_shifted_expectation(
-        spec, x, k, [0.0, dt, -dt, dt / 2.0, -dt / 2.0], rtol=rtol)
+        spec, x, k, [0.0, dt, -dt, dt / 2.0, -dt / 2.0])
     omega0, wp, wm, whp, whm = (float(v) for v in vals)
 
     def resid(step, plus, minus):
@@ -268,7 +262,7 @@ def kms_residual(spec: st.StateSpec, deriv: WeakDerivationSpec, f, g, *,
     r_full = resid(dt, wp, wm)
     r_half = resid(dt / 2.0, whp, whm)
     scale = max(abs(sig * omega0), 1.0)
-    if r_full > 1e-13 * scale or r_half > 1e-13 * scale:
+    if not (r_full <= 1e-13 * scale and r_half <= 1e-13 * scale):
         ratio = r_full / max(r_half, 1e-300)
         if not (2.0 <= ratio <= 8.0):
             raise StepTooLarge(

@@ -22,6 +22,7 @@ a (spec, count, seed) triple reproduces the exact same array everywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +50,12 @@ class GaussianMeasureSpec:
         object.__setattr__(self, "eigenvalues", eig)
         if not eig:
             raise InvalidSpec("need at least one mode")
-        if not all(math.isfinite(v) for v in eig + (self.beta,)):
-            raise InvalidSpec(f"eigenvalues and beta must be finite, got {eig}, {self.beta}")
-        if any(v <= 0 for v in eig):
-            raise InvalidSpec("eigenvalues must be positive")
-        if self.beta <= 0:
-            raise InvalidSpec("beta must be positive")
+        if not (0 < self.beta < math.inf and all(0 < v < math.inf for v in eig)):
+            raise InvalidSpec(
+                f"eigenvalues and beta must be positive and finite, got {eig}, {self.beta}")
+        # the sampling variances 1/(beta lambda) must be normal floats
+        if not all(sys.float_info.min <= self.beta * v < math.inf for v in eig):
+            raise InvalidSpec(f"beta * eigenvalue leaves the float range: beta = {self.beta}")
 
     @property
     def n(self) -> int:
@@ -80,6 +81,8 @@ def sample(spec: GaussianMeasureSpec, count: int, seed: int) -> np.ndarray:
     """(count, 2n) array of phase points; columns are q_1..q_n, p_1..p_n."""
     if count <= 0:
         raise DomainViolation("count must be positive")
+    if not 0 <= seed < 2 ** 128:
+        raise DomainViolation(f"seed must lie in [0, 2^128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     lam = np.asarray(spec.eigenvalues)
     scales = np.sqrt(1.0 / (spec.beta * np.concatenate([lam, lam])))

@@ -127,8 +127,7 @@ def nonsurjectivity_witness(f: Sequence[complex], n_max: int, h: float) -> dict:
     return {"target_l2": target_l2, "preimage_l2": preimage_l2}
 
 
-def pullback_expectation(spec: st.StateSpec, a: alg.WeylElement, basis,
-                         *, tail_tol: float = 1e-9, rtol: float = 1e-12) -> complex:
+def pullback_expectation(spec: st.StateSpec, a: alg.WeylElement, basis) -> complex:
     """omega_h(Q_h(a)) for a classical element ``a`` against a quantum state.
 
     ``basis`` interprets label coordinates: for box kinds a sequence of mode
@@ -158,7 +157,7 @@ def pullback_expectation(spec: st.StateSpec, a: alg.WeylElement, basis,
                     n = tuple(int(v) for v in n)
                     fmap[n] = fmap.get(n, 0.0) + c * complex(w)
             nsq = st.mode_norm_sq(fmap)
-            val = st.weyl_expectation(spec, fmap, tail_tol=tail_tol, rtol=rtol)
+            val = st.weyl_expectation(spec, fmap)
         else:
             fn = None
             for c, g in zip(label, basis):
@@ -167,6 +166,6 @@ def pullback_expectation(spec: st.StateSpec, a: alg.WeylElement, basis,
                 piece = c * g
                 fn = piece if fn is None else fn + piece
             nsq = tf.norm_sq(fn)
-            val = st.weyl_expectation(spec, fn, tail_tol=tail_tol, rtol=rtol)
+            val = st.weyl_expectation(spec, fn)
         total += coeff * math.exp(-h * nsq / 4.0) * val
     return complex(total)

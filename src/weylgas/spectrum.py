@@ -163,6 +163,8 @@ def mode_sum(weight: Callable[[np.ndarray], np.ndarray], spec: BoxSpectrum,
     beyond the cutoff; if it exceeds ``tail_tol`` the partial value is not
     trusted and TailToleranceExceeded is raised.
     """
+    if math.isnan(tail_tol):
+        raise DomainViolation("tail_tol must not be NaN")
     value = _grid_sum(weight, spec.cutoff, spec.nu)
     tail = float(tail)
     if not np.isfinite(tail) or tail > tail_tol:
@@ -206,19 +208,25 @@ def bose_weight(spec: BoxSpectrum, beta: float, h: float, mu: float):
     k = kappa(spec.L)
     bh = beta * h
 
+    # an exponent below the float range is a zero weight
     def weight(m):
-        x = np.exp(-bh * (k * m - mu))
+        with np.errstate(over="ignore"):
+            x = np.exp(-bh * (k * m - mu))
         return x / (1.0 - x)
 
     cutoff = spec.cutoff
-    s_ax = float(np.sum(np.exp(-bh * k * np.arange(1, cutoff + 1) ** 2)))
+    with np.errstate(over="ignore"):
+        s_ax = float(np.sum(np.exp(-bh * k * np.arange(1, cutoff + 1) ** 2)))
     t_ax = gaussian_axis_tail(bh * k, cutoff)
     e_tail_min = k * ((cutoff + 1) ** 2 + (spec.nu - 1))
     x_max = math.exp(-bh * (e_tail_min - mu))
     if x_max >= 1.0:
         return weight, math.inf
     gross = _product_excess([(s_ax, t_ax)] * spec.nu)
-    return weight, math.exp(bh * mu) * gross / (1.0 - x_max)
+    try:
+        return weight, math.exp(bh * mu) * gross / (1.0 - x_max)
+    except OverflowError:
+        return weight, math.inf
 
 
 # -- trace classifier ---------------------------------------------------------
@@ -300,15 +308,16 @@ def trace_h_power(s: float, spec: BoxSpectrum) -> tuple[float, bool]:
         with np.errstate(over="ignore"):
             value = _grid_sum(lambda m: (k * m) ** (-s), spec.cutoff, spec.nu)
     else:
-        scaled, err = _theta_mellin(s, spec.nu)
-        if not err <= 1e-12 * scaled:
-            raise QuadratureFailure(
-                f"theta-Mellin trace error estimate {err:.3e} exceeds 1e-12 of "
-                f"{scaled:.6e} (s={s}, nu={spec.nu})")
         try:
+            scaled, err = _theta_mellin(s, spec.nu)
             value = ground_energy(spec.L, spec.nu) ** (-s) * scaled
         except OverflowError:
             value = math.inf
+        else:
+            if not err <= 1e-12 * scaled:
+                raise QuadratureFailure(
+                    f"theta-Mellin trace error estimate {err:.3e} exceeds 1e-12 of "
+                    f"{scaled:.6e} (s={s}, nu={spec.nu})")
     if not math.isfinite(value):
         raise DomainViolation(f"the trace of H^-{s} leaves the float range at L = {spec.L}")
     return value, converged

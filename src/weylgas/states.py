@@ -68,6 +68,10 @@ QUANTUM_KINDS = ("QuantumBoxGibbs", "QuantumInfVol", "QuantumCondensate")
 CLASSICAL_KINDS = ("ClassicalBoxGibbs", "ClassicalInfVol", "ClassicalCondensate")
 ALL_KINDS = QUANTUM_KINDS + CLASSICAL_KINDS
 _BOX_KINDS = ("QuantumBoxGibbs", "ClassicalBoxGibbs")
+# relative accuracy of the radial Bose integral, and the certified tail of a
+# box density
+_RTOL = 1e-12
+_DENSITY_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,7 @@ def _box_quadform(f: tf.TestFunction, spec: StateSpec,
 
 # -- the covariance form B -------------------------------------------------------
 
-def _cov_pair(mu: float, a, b, rtol: float) -> complex:
+def _cov_pair(mu: float, a, b) -> complex:
     """<a, (H - mu)^{-1} b>.  Either side may be a MultiplierApplied tag
     scale (H - shift) fn.  With P_a(H) = H - shift_a on a tagged side and
     P_a = 1 otherwise, P_a(H) P_b(H) = q(H) (H - mu) + P_a(mu) P_b(mu), so
@@ -302,9 +306,7 @@ def _cov_pair(mu: float, a, b, rtol: float) -> complex:
     rem = (1.0 if xa is None else mu - xa) * (1.0 if xb is None else mu - xb)
     val = 0.0
     if rem:
-        # mu = 0 (inverse H) requires nu >= 3
-        val = rem * (tf.resolvent_pair(u, v, -mu, rtol=rtol) if mu < 0
-                     else tf.invham_pair(u, v, rtol=rtol))
+        val = rem * tf.resolvent_pair(u, v, -mu)
     if xa is not None and xb is not None:
         # q(H) = H + mu - shift_a - shift_b
         val += tf.ham_pair(u, v) + (mu - xa - xb) * tf.inner_product(u, v)
@@ -313,7 +315,7 @@ def _cov_pair(mu: float, a, b, rtol: float) -> complex:
     return sa.conjugate() * sb * val
 
 
-def _pair(spec: StateSpec, a, b, rtol: float) -> complex:
+def _pair(spec: StateSpec, a, b) -> complex:
     """<a, F b>: a mode sum (box kinds), the thermal momentum form
     (quantum continuum) or the resolvent form over beta (classical)."""
     if spec.kind in _BOX_KINDS:
@@ -328,8 +330,8 @@ def _pair(spec: StateSpec, a, b, rtol: float) -> complex:
         if fn.nu != spec.nu:
             raise DimensionMismatch(f"test function nu={fn.nu}, state nu={spec.nu}")
     if spec.h:
-        return complex(tf.thermal_pair(a, b, spec.beta, spec.h, spec._mu, rtol=rtol))
-    return _cov_pair(spec._mu, a, b, rtol) / spec.beta
+        return complex(tf.thermal_pair(a, b, spec.beta, spec.h, spec._mu))
+    return _cov_pair(spec._mu, a, b) / spec.beta
 
 
 def _ground(spec: StateSpec, ia: complex, ib: complex) -> complex:
@@ -340,9 +342,9 @@ def _ground(spec: StateSpec, ia: complex, ib: complex) -> complex:
     return spec._r * ia.conjugate() * ib
 
 
-def _form(spec: StateSpec, a, b, rtol: float = 1e-12) -> complex:
+def _form(spec: StateSpec, a, b) -> complex:
     """B(a, b) = <a, F b> + r conj(int a) int b."""
-    val = _pair(spec, a, b, rtol)
+    val = _pair(spec, a, b)
     if spec._r:
         val += _ground(spec, tf.integral_of(a), tf.integral_of(b))
     return val
@@ -353,31 +355,31 @@ def _sigma(f, g) -> float:
     return mode_sigma(f, g) if isinstance(f, Mapping) else tf.inner_product(f, g).imag
 
 
-def weyl_expectation(spec: StateSpec, f, *, tail_tol: float = 1e-9,
-                     rtol: float = 1e-12) -> float:
+def weyl_expectation(spec: StateSpec, f, *, tail_tol: float = 1e-9) -> float:
     """omega(W(f)) = exp(-c B(f, f)).
 
     ``f`` is a TestFunction (any kind) or a mode-coefficient mapping (box
     kinds).  Box TestFunction arguments carry a certified tail bound on the
     truncated exponent, checked against ``tail_tol``.
     """
-    value, _ = weyl_expectation_with_tail(spec, f, tail_tol=tail_tol, rtol=rtol)
+    value, _ = weyl_expectation_with_tail(spec, f, tail_tol=tail_tol)
     return value
 
 
-def weyl_expectation_with_tail(spec: StateSpec, f, *, tail_tol: float = 1e-9,
-                               rtol: float = 1e-12) -> tuple[float, float]:
+def weyl_expectation_with_tail(spec: StateSpec, f, *,
+                               tail_tol: float = 1e-9) -> tuple[float, float]:
     """omega(W(f)) together with the certified bound on the truncated
     exponent (0.0 for closed-form and finite-mode evaluations)."""
+    if math.isnan(tail_tol):
+        raise DomainViolation("tail_tol must not be NaN")
     if spec.kind in _BOX_KINDS and isinstance(f, tf.TestFunction):
         expo, tail = _box_quadform(f, spec, tail_tol)
     else:
-        expo, tail = _form(spec, f, f, rtol).real, 0.0
+        expo, tail = _form(spec, f, f).real, 0.0
     return math.exp(-spec._c * expo), tail
 
 
-def classical_shifted_expectation(spec: StateSpec, x, k, ts, *,
-                                  rtol: float = 1e-12) -> np.ndarray:
+def classical_shifted_expectation(spec: StateSpec, x, k, ts) -> np.ndarray:
     """omega(W(x + t k)) for each real t in ``ts`` (classical kinds).
 
     The three pieces B(x,x), Re B(x,k), B(k,k) are computed once; ``k``
@@ -387,17 +389,20 @@ def classical_shifted_expectation(spec: StateSpec, x, k, ts, *,
     if spec.h:
         raise InvalidSpec("shifted evaluation is defined for classical kinds")
     ts = np.asarray(ts, dtype=float)
-    qxx, qxk, qkk = (_form(spec, a, b, rtol).real for a, b in ((x, x), (x, k), (k, k)))
-    return np.exp(-spec._c * (qxx + 2.0 * ts * qxk + ts ** 2 * qkk))
+    qxx, qxk, qkk = (_form(spec, a, b).real for a, b in ((x, x), (x, k), (k, k)))
+    # an exponent beyond the float range at large t gives 0 (or NaN, which
+    # the finite-difference check rejects)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-spec._c * (qxx + 2.0 * ts * qxk + ts ** 2 * qkk))
 
 
-def field_weyl_expectation(spec: StateSpec, k, g, *, rtol: float = 1e-12) -> complex:
+def field_weyl_expectation(spec: StateSpec, k, g) -> complex:
     """omega(Phi(k) W(g)) for the classical kinds: the derivative
     -i d/dt omega(W(g + t k)) at t = 0, which is i Re B(g, k) omega(W(g)).
     """
     if spec.h:
         raise InvalidSpec("field insertions are defined for classical kinds")
-    return 1j * _form(spec, g, k, rtol).real * weyl_expectation(spec, g, rtol=rtol)
+    return 1j * _form(spec, g, k).real * weyl_expectation(spec, g)
 
 
 def two_point(spec: StateSpec, f, g) -> complex:
@@ -415,7 +420,7 @@ def _sphere_area(nu: int) -> float:
     return 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0)
 
 
-def _bose_integral(bh: float, mu: float, nu: int, rtol: float) -> float:
+def _bose_integral(bh: float, mu: float, nu: int) -> float:
     """integral d^nu p/(2 pi)^nu 1/(e^{bh (p^2/2 - mu)} - 1) by radial quadrature."""
     if not 0.0 < bh < math.inf:
         raise DomainViolation(f"beta h = {bh} leaves the float range")
@@ -429,15 +434,14 @@ def _bose_integral(bh: float, mu: float, nu: int, rtol: float) -> float:
     split = 2.0 / math.sqrt(bh)
     try:
         pref = _sphere_area(nu) / (2.0 * math.pi) ** nu
-        v1, _ = quad(integrand, 0.0, split, epsabs=0.0, epsrel=rtol, limit=300)
-        v2, _ = quad(integrand, split, np.inf, epsabs=0.0, epsrel=rtol, limit=300)
+        v1, _ = quad(integrand, 0.0, split, epsabs=0.0, epsrel=_RTOL, limit=300)
+        v2, _ = quad(integrand, split, np.inf, epsabs=0.0, epsrel=_RTOL, limit=300)
     except OverflowError:
         raise DomainViolation(f"the Bose integral leaves the float range at nu = {nu}") from None
     return pref * (v1 + v2)
 
 
-def critical_density(beta: float, h: float, nu: int = 3, *,
-                     rtol: float = 1e-12) -> float:
+def critical_density(beta: float, h: float, nu: int = 3) -> float:
     """rho_c(beta, h) = integral d^nu p/(2 pi)^nu 1/(e^{beta h p^2/2} - 1),
     by radial quadrature; finite only for nu >= 3.
 
@@ -447,10 +451,10 @@ def critical_density(beta: float, h: float, nu: int = 3, *,
         raise DimensionTooLow(f"critical density diverges for nu = {nu} < 3")
     if not (0.0 < beta < math.inf and 0.0 < h < math.inf):
         raise DomainViolation(f"beta and h must be positive and finite, got {beta}, {h}")
-    return _bose_integral(beta * h, 0.0, nu, rtol)
+    return _bose_integral(beta * h, 0.0, nu)
 
 
-def quantum_density(spec: StateSpec, *, tail_tol: float = 1e-12) -> float:
+def quantum_density(spec: StateSpec) -> float:
     """Expected particle density of a quantum state.
 
     Box: |Lambda|^{-1} sum_n x_n/(1-x_n) with a certified index tail.
@@ -462,16 +466,16 @@ def quantum_density(spec: StateSpec, *, tail_tol: float = 1e-12) -> float:
     if spec.kind == "QuantumBoxGibbs":
         weight, tail = sp.bose_weight(spec.box, spec.beta, spec.h, spec.mu)
         vol = sp.volume(spec.box.L, spec.box.nu)
-        value, _ = sp.mode_sum(weight, spec.box, tail, tail_tol * vol)
+        value, _ = sp.mode_sum(weight, spec.box, tail, _DENSITY_TAIL_TOL * vol)
         return value / vol
     if spec.kind != "QuantumInfVol":
         raise InvalidSpec("density is defined for quantum kinds")
-    return _bose_integral(spec.beta * spec.h, spec.mu, spec.nu, 1e-12)
+    return _bose_integral(spec.beta * spec.h, spec.mu, spec.nu)
 
 
 # -- Gram positivity -------------------------------------------------------------
 
-def gram_matrix(spec: StateSpec, fs: Sequence, *, rtol: float = 1e-12) -> np.ndarray:
+def gram_matrix(spec: StateSpec, fs: Sequence) -> np.ndarray:
     """M[j, k] = omega(W(f_j)* W(f_k)) = e^{i h sigma(f_j, f_k)/2} omega(W(f_k - f_j)).
 
     ``fs`` is a sequence of mode mappings (box kinds) or TestFunctions
@@ -481,7 +485,7 @@ def gram_matrix(spec: StateSpec, fs: Sequence, *, rtol: float = 1e-12) -> np.nda
     semidefinite for any state; tests diagonalize it.
     """
     m = len(fs)
-    pairs = {(j, k): _pair(spec, fs[j], fs[k], rtol) for j in range(m) for k in range(j, m)}
+    pairs = {(j, k): _pair(spec, fs[j], fs[k]) for j in range(m) for k in range(j, m)}
     means = [tf.integral_of(f) for f in fs] if spec._r else None
     out = np.eye(m, dtype=complex)
     for j in range(m):

@@ -47,9 +47,13 @@ __all__ = [
     "GaussTerm", "TestFunction", "MultiplierApplied", "gaussian",
     "fourier_transform", "inner_product", "norm_sq", "space_integral",
     "integral_of", "evaluate", "restricted_norm_sq", "axis_sine_overlaps",
-    "heat_pair", "ham_pair", "invham_pair", "resolvent_pair", "thermal_pair",
+    "heat_pair", "ham_pair", "resolvent_pair", "thermal_pair",
     "to_json_dict", "from_json_dict",
 ]
+
+# relative accuracy of every tau- and radial quadrature and of the certified
+# thermal series tail
+_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ def ham_pair(f: TestFunction, g: TestFunction) -> complex:
     return complex(total)
 
 
-def _quad_complex(fn, lo, hi, rtol, *, real=False):
+def _quad_complex(fn, lo, hi, *, real=False):
     # scipy's slow-convergence heuristic misfires on long exponential tails
     # (e.g. resolvent pairings at tiny spectral shift); accuracy is enforced
     # by the dual-route and oracle tests instead.  ``real`` skips the
@@ -254,44 +258,36 @@ def _quad_complex(fn, lo, hi, rtol, *, real=False):
     # would otherwise drive quad to the subdivision limit.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        re, _ = quad(lambda x: fn(x).real, lo, hi, epsabs=0.0, epsrel=rtol, limit=400)
+        re, _ = quad(lambda x: fn(x).real, lo, hi, epsabs=0.0, epsrel=_RTOL, limit=400)
         if real:
             return complex(re, 0.0)
-        im, _ = quad(lambda x: fn(x).imag, lo, hi, epsabs=0.0, epsrel=rtol * 10, limit=400)
+        im, _ = quad(lambda x: fn(x).imag, lo, hi, epsabs=0.0, epsrel=_RTOL * 10, limit=400)
     return complex(re, im)
 
 
-def invham_pair(f: TestFunction, g: TestFunction, *, rtol: float = 1e-12) -> complex:
-    """<f, H^{-1} g> = 2 integral_0^inf K(tau) dtau; requires nu >= 3.
+def resolvent_pair(f: TestFunction, g: TestFunction, c: float) -> complex:
+    """<f, (H + c)^{-1} g> = 2 integral_0^inf e^{-2 c tau} K(tau) dtau for
+    c >= 0, any nu (Schwinger representation).
 
-    For nu <= 2 the tau-integrand decays like tau^{-nu/2} and the form
-    diverges for generic f; DimensionTooLow is raised.
+    c = 0 is the inverse Hamiltonian <f, H^{-1} g>.  Its tau-integrand
+    decays like tau^{-nu/2}, so the form diverges for generic f at nu <= 2
+    and DimensionTooLow is raised there.
     """
+    if not 0 <= c < math.inf:
+        raise DomainViolation(f"resolvent shift must be finite and nonnegative, got {c}")
     if f.nu != g.nu:
         raise DimensionMismatch(f"{f.nu} vs {g.nu}")
-    if f.nu < 3:
+    if c == 0 and f.nu < 3:
         raise DimensionTooLow(f"<f, H^-1 g> requires nu >= 3, got nu={f.nu}")
+    split = max(1.0, 0.5 / c) if c else 1.0
     # K(tau) is real for a diagonal pair
     real = f == g
-    val = _quad_complex(lambda u: heat_pair(f, g, u), 0.0, 1.0, rtol, real=real)
-    val += _quad_complex(lambda u: heat_pair(f, g, u), 1.0, np.inf, rtol, real=real)
-    return 2.0 * val
 
+    def integrand(u):
+        return np.exp(-2 * c * u) * heat_pair(f, g, u)
 
-def resolvent_pair(f: TestFunction, g: TestFunction, c: float, *,
-                   rtol: float = 1e-12) -> complex:
-    """<f, (H + c)^{-1} g> for c > 0, any nu  (Schwinger representation)."""
-    if c <= 0:
-        raise DomainViolation(f"resolvent shift must be positive, got {c}")
-    if f.nu != g.nu:
-        raise DimensionMismatch(f"{f.nu} vs {g.nu}")
-    split = max(1.0, 1.0 / (2 * c))
-    real = f == g
-    val = _quad_complex(lambda u: np.exp(-2 * c * u) * heat_pair(f, g, u), 0.0, split,
-                        rtol, real=real)
-    val += _quad_complex(lambda u: np.exp(-2 * c * u) * heat_pair(f, g, u), split, np.inf,
-                         rtol, real=real)
-    return 2.0 * val
+    return 2.0 * (_quad_complex(integrand, 0.0, split, real=real)
+                  + _quad_complex(integrand, split, np.inf, real=real))
 
 
 def _coth_defect(s):
@@ -304,8 +300,7 @@ def _coth_defect(s):
     return np.where(small, series, direct)
 
 
-def _critical_pair_correction(pref, a0, b, c_sum, nu, beta_h, *, shift=0.0,
-                              nodes=80, tol=1e-10):
+def _critical_pair_correction(pref, a0, b, c_sum, nu, beta_h, *, shift=0.0):
     """integral of the pair Gaussian times phi(beta_h |p|^2 / 2 + shift).
 
     Radial shortcut when the pair carries no linear momentum term; otherwise
@@ -319,7 +314,7 @@ def _critical_pair_correction(pref, a0, b, c_sum, nu, beta_h, *, shift=0.0,
             return r ** (nu - 1) * np.exp(-a0 * r * r) \
                 * _coth_defect(beta_h * r * r / 2.0 + shift)
 
-        val, _ = quad(radial, 0.0, np.inf, epsabs=0.0, epsrel=tol * 1e-2, limit=400)
+        val, _ = quad(radial, 0.0, np.inf, epsabs=0.0, epsrel=_RTOL, limit=400)
         return pref * np.exp(c_sum) * surf * val
 
     def gh_eval(n):
@@ -344,16 +339,16 @@ def _critical_pair_correction(pref, a0, b, c_sum, nu, beta_h, *, shift=0.0,
             wgt = wgt * axis_vals[i].reshape(shape)
         return a0 ** (-nu / 2.0) * np.sum(wgt * phi)
 
-    v1 = gh_eval(nodes)
-    v2 = gh_eval(int(nodes * 1.6))
-    if abs(v1 - v2) > 1e-8 * max(1.0, abs(v2)):
+    v1 = gh_eval(80)
+    v2 = gh_eval(128)
+    if not abs(v1 - v2) <= 1e-8 * max(1.0, abs(v2)):
         raise QuadratureFailure(
             f"critical thermal correction unstable under node increase: {v1} vs {v2}")
     return pref * np.exp(c_sum) * v2
 
 
 def thermal_pair(f: TestFunction, g: TestFunction, beta: float, h: float,
-                 mu: float, *, rtol: float = 1e-12) -> complex:
+                 mu: float) -> complex:
     """J = integral conj(fhat) ghat (1 + x)/(1 - x) d^nu p/(2 pi)^nu with
     x = exp(beta h (mu - p^2/2)).
 
@@ -373,12 +368,7 @@ def thermal_pair(f: TestFunction, g: TestFunction, beta: float, h: float,
     nu = f.nu
 
     if mu == 0.0 or beta * h * abs(mu) < 2e-3:
-        if mu == 0.0:
-            if nu < 3:
-                raise DimensionTooLow("critical thermal form requires nu >= 3")
-            total = (2.0 / (beta * h)) * invham_pair(f, g, rtol=rtol)
-        else:
-            total = (2.0 / (beta * h)) * resolvent_pair(f, g, -mu, rtol=rtol)
+        total = (2.0 / (beta * h)) * resolvent_pair(f, g, -mu)
         for s in f.terms:
             for t in g.terms:
                 pref, a0, b, c_sum = _pair_params(s, t, nu)
@@ -405,7 +395,7 @@ def thermal_pair(f: TestFunction, g: TestFunction, beta: float, h: float,
                 env += abs(pref) * (math.pi / a) ** (nu / 2.0) \
                     * math.exp(max(0.0, float(np.sum(b * b).real)) / (4.0 * a) + c_sum.real)
         tail = 2.0 * env * z ** (m0 + block) / (1.0 - z)
-        if tail <= rtol * max(abs(total), 1e-300):
+        if tail <= _RTOL * max(abs(total), 1e-300):
             break
         m0 += block
         if m0 > 2_000_000:

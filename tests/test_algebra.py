@@ -8,7 +8,7 @@ from weylgas import algebra as alg
 from weylgas.algebra import WeylElement
 from weylgas.errors import MismatchedDimension, MismatchedHbar, NegativeHbar, \
     NonzeroHbar, ZeroHbar
-from weylgas.errors import InvalidSpec
+from weylgas.errors import DomainViolation, InvalidSpec
 
 
 def coords(dim, lo=-3.0, hi=3.0):
@@ -73,6 +73,9 @@ def test_mixed_hbar_rejected():
         alg.multiply(alg.weyl((1j,), 0.1), alg.weyl((1j, 0j), 0.1))
     with pytest.raises(NegativeHbar):
         alg.weyl((1j,), -0.5)
+    for hbar in (math.nan, math.inf):
+        with pytest.raises(DomainViolation, match="hbar"):
+            alg.weyl((1j,), hbar)
 
 
 def test_poisson_bracket_needs_h_zero():

@@ -107,8 +107,6 @@ def test_domain_errors():
         bz.coherent_state([0.0], [0.0], 0.0)
     with pytest.raises(DomainViolation):
         bz.berezin_matrix_element([1.0, 0.0], [0.0], psi, psi, 1.0)
-    with pytest.raises(DomainViolation):
-        bz.berezin_matrix_element([1.0], [0.0], psi, psi, 1.0, nodes=4)
     two_axis = bz.coherent_state([0.0, 0.0], [0.0, 0.0], 1.0)
     with pytest.raises(DomainViolation):
         bz.overlap(psi, two_axis)

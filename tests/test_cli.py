@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from weylgas import cli
 from weylgas import gibbsmc as mc
@@ -224,6 +227,27 @@ _FN = json.dumps({"nu": 3, "terms": [{"amp": [0.1, 0.0], "center": [0, 0, 0],
     ["check-sdq", "--f", "[[1,0]]", "--g", "[[0,1]]", "--hmin", "0.1", "--hmax", "0.1"],
     ["check-kms", "--mode", "fd", "--dt", "inf",
      "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
+    ["check-kms", "--deriv", "[1]",
+     "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
+    ["check-kms", "--deriv", '{"kind": "HMinusMu", "mu": "x"}',
+     "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
+    ["check-kms", "--deriv", '{"kind": "HMinusMu", "mu": null}',
+     "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
+    ["check-kms", "--deriv", '{"kind": "HMinusMu", "mu": NaN}',
+     "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
+    ["limit-scan", "--mode", "semiclassical", "--fn", _FN],
+    ["sample-gibbs", "--eigenvalues", "1,2", "--beta", "1", "--label", "[[1,0],[0,0.5]]",
+     "--count", "100", "--seed", "-1"],
+    ["compute-state", "--state",
+     '{"kind": "ClassicalBoxGibbs", "beta": 1, "mu": 0, "box": {"L": 2, "nu": 3, "cutoff": 16}}',
+     "--fn", _FN, "--tail-tol", "nan"],
+    ["solve-mu", "--rho", "0.1", "--L", "2", "--beta", "1", "--h", "1", "--rel-tol", "nan"],
+    ["limit-scan", "--mode", "thermodynamic", "--alpha", "0.1", "--Ls", "", "--fn", _FN],
+    ["limit-scan", "--mode", "thermodynamic", "--alpha", "0.1", "--Ls", "5,5", "--fn", _FN],
+    ["trace-check", "--s", "1e308", "--L", "1"],
+    ["berezin-verify", "--h", "1e308"],
+    ["sample-gibbs", "--eigenvalues", "1,2", "--beta", "1e308", "--label", "[[1,0],[0,0.5]]",
+     "--count", "100", "--seed", "1"],
 ])
 def test_bad_inputs_exit_two_without_traceback(capsys, argv):
     code = cli.main(argv)
@@ -232,3 +256,78 @@ def test_bad_inputs_exit_two_without_traceback(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["berezin-verify", "--lambda", "1e308"],
+    ["solve-mu", "--rho", "0.1", "--L", "2", "--beta", "1e308", "--h", "1", "--cutoff", "16"],
+    ["check-kms", "--mode", "fd", "--dt", "1e308", "--deriv", '{"kind": "HMinusMu", "mu": -1}',
+     "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
+])
+def test_out_of_range_numerics_exit_three_without_traceback(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("certificate failure:")
+    assert "Traceback" not in captured.err
+
+
+def test_nan_h_is_reported_as_hbar(capsys):
+    assert cli.main(["witness", "--f", "[[1,0]]", "--h", "nan"]) == 2
+    assert "hbar must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute-state", "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}',
+     "--fn", _FN, "--rtol", "1e-12"],
+    ["berezin-verify", "--nodes", "80"],
+])
+def test_accuracy_targets_are_not_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_STATE = '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}'
+# per subcommand, each flag's valid values; the property draws one of them,
+# one of _BAD or no flag at all
+_VALID = {
+    "compute-state": {"--state": (_STATE,), "--fn": (_FN,), "--tail-tol": ("1e-9",)},
+    "solve-mu": {"--rho": ("0.1",), "--L": ("2",), "--beta": ("1",), "--h": ("1",),
+                 "--nu": ("3",), "--cutoff": ("16",), "--rel-tol": ("1e-10",)},
+    "check-sdq": {"--f": ("[[1,0]]",), "--g": ("[[0,1]]",), "--hmin": ("1e-3",),
+                  "--hmax": ("1e-1",), "--count": ("3",)},
+    "check-kms": {"--state": (_STATE,), "--deriv": ('{"kind": "HMinusMu", "mu": -1}',),
+                  "--f": (_FN,), "--g": (_FN,), "--mode": ("analytic", "fd"),
+                  "--dt": ("1e-3",)},
+    "limit-scan": {"--mode": ("semiclassical", "thermodynamic"), "--fn": (_FN,),
+                   "--state": (_STATE,), "--hs": ("0.1,0.05",), "--alpha": ("0.1",),
+                   "--beta": ("1",), "--Ls": ("5,10",), "--nu": ("3",)},
+    "sample-gibbs": {"--eigenvalues": ("1,2",), "--beta": ("1",),
+                     "--label": ("[[1,0],[0,0.5]]",), "--count": ("100",), "--seed": ("1",)},
+    "berezin-verify": {"--l": ("1",), "--lambda": ("1.0",), "--mu": ("0.0",), "--h": ("1",)},
+    "critical-density": {"--beta": ("1",), "--h": ("1",), "--nu": ("3",)},
+    "trace-check": {"--s": ("2",), "--L": ("1",), "--nu": ("3",), "--cutoff": ("8",)},
+    "witness": {"--f": ("[[1,0]]",), "--h": ("1",), "--n-max": ("5",)},
+}
+_BAD = ("0", "-1", "nan", "inf", "1e308", "{not json")
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_any_argv_exits_zero_two_or_three(data):
+    command = data.draw(hst.sampled_from(sorted(_VALID)), label="command")
+    argv = [command]
+    for flag, valid in _VALID[command].items():
+        value = data.draw(hst.sampled_from(valid + _BAD + (None,)), label=flag)
+        if value is not None:
+            argv += [flag, value]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -20,6 +20,9 @@ def test_derivation_spec_validation():
         eq.WeakDerivationSpec(kind="H", mu=0.5)
     with pytest.raises(InvalidSpec):
         eq.WeakDerivationSpec(kind="other")
+    for mu in (math.nan, math.inf):
+        with pytest.raises(InvalidSpec):
+            eq.WeakDerivationSpec(kind="HMinusMu", mu=mu)
 
 
 def test_mu_net_classical_anchor():
@@ -52,6 +55,10 @@ def test_solve_mu_rejects_bad_targets():
                          (0.1, math.nan, 1.0), (0.1, 1.0, math.nan)):
         with pytest.raises(DomainViolation):
             eq.solve_mu_quantum(rho, box, beta=beta, h=h)
+    # a NaN or non-positive tolerance would skip the round-trip check
+    for rel_tol in (math.nan, 0.0, -1.0):
+        with pytest.raises(DomainViolation):
+            eq.solve_mu_quantum(0.1, box, beta=1.0, h=1.0, rel_tol=rel_tol)
 
 
 def test_condensate_fraction_limit():

@@ -85,3 +85,6 @@ def test_shape_validation():
         mc.characteristic_mc(SPEC, [1.0, 0.0, 0.0], 100, seed=0)
     with pytest.raises(DomainViolation):
         mc.sample(SPEC, 0, seed=0)
+    for seed in (-1, 2 ** 128):
+        with pytest.raises(DomainViolation):
+            mc.sample(SPEC, 10, seed=seed)

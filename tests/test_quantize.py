@@ -33,6 +33,8 @@ def test_quantize_rejects_bad_inputs():
         qz.quantize(alg.weyl((1j,), 0.2), 0.3)
     with pytest.raises(NegativeHbar):
         qz.quantize(alg.weyl((1j,), 0.0), -0.1)
+    with pytest.raises(DomainViolation, match="hbar"):
+        qz.quantize(alg.weyl((1j,), 0.0), math.nan)
 
 
 def test_preimage_inverts_quantize():

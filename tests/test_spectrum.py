@@ -46,6 +46,10 @@ def test_mode_sum_rejects_loose_tail():
     weight, tail = sp.bose_weight(spec, 0.1, 0.5, 0.0)
     with pytest.raises(TailToleranceExceeded):
         sp.mode_sum(weight, spec, tail, 1e-12)
+    # NaN never compares as exceeded; inf accepts any finite tail
+    with pytest.raises(DomainViolation):
+        sp.mode_sum(weight, spec, tail, math.nan)
+    assert sp.mode_sum(weight, spec, tail, math.inf)[1] == tail
 
 
 def test_bose_weight_values_and_tail():

@@ -114,7 +114,7 @@ def test_infvol_states_reduce_to_quadratic_forms():
     f = tf.gaussian(0.1, (0, 0, 0), 1.0)
     cl = st.StateSpec(kind="ClassicalInfVol", beta=1.0, mu=0.0, nu=3)
     assert st.weyl_expectation(cl, f) == pytest.approx(
-        math.exp(-0.5 * complex(tf.invham_pair(f, f)).real), rel=1e-12)
+        math.exp(-0.5 * complex(tf.resolvent_pair(f, f, 0.0)).real), rel=1e-12)
     qu = st.StateSpec(kind="QuantumInfVol", beta=2.0, h=0.5, mu=-0.4, nu=3)
     j = complex(tf.thermal_pair(f, f, 2.0, 0.5, -0.4)).real
     assert st.weyl_expectation(qu, f) == pytest.approx(
@@ -250,6 +250,20 @@ def test_spec_json_round_trip():
 def test_non_finite_spec_inputs_rejected(kw):
     with pytest.raises(InvalidSpec):
         st.StateSpec(**kw)
+
+
+@pytest.mark.parametrize("spec", [
+    st.StateSpec(kind="ClassicalBoxGibbs", beta=1.0, mu=0.0, box=BOX),
+    st.StateSpec(kind="QuantumBoxGibbs", beta=1.0, h=1.0, mu=0.0, box=BOX),
+    st.StateSpec(kind="ClassicalInfVol", beta=1.0, mu=-1.0),
+    st.StateSpec(kind="QuantumCondensate", beta=1.0, h=1.0, rho_bar=1.0),
+], ids=lambda spec: spec.kind)
+def test_nan_tail_tolerance_is_rejected(spec):
+    f = tf.gaussian(0.1, (0, 0, 0), 1.0)
+    with pytest.raises(DomainViolation):
+        st.weyl_expectation_with_tail(spec, f, tail_tol=math.nan)
+    value, tail = st.weyl_expectation_with_tail(spec, f, tail_tol=math.inf)
+    assert 0.0 < value <= 1.0 and tail >= 0.0
 
 
 def test_infinite_alpha_stays_legal():

@@ -108,16 +108,16 @@ def test_invham_closed_form_single_gaussian():
     # <f, H^{-1} f> = 4 pi^{3/2} |amp|^2 sigma^5 for a centered gaussian
     for amp, sigma in ((0.1, 1.0), (0.25, 1.3)):
         f = tf.gaussian(amp, (0, 0, 0), sigma)
-        assert complex(tf.invham_pair(f, f)).real == pytest.approx(
+        assert complex(tf.resolvent_pair(f, f, 0.0)).real == pytest.approx(
             4 * math.pi ** 1.5 * amp ** 2 * sigma ** 5, rel=1e-11)
-    assert complex(tf.invham_pair(tf.gaussian(0.1, (0, 0, 0), 1.0),
-                                  tf.gaussian(0.1, (0, 0, 0), 1.0))).real \
+    assert complex(tf.resolvent_pair(tf.gaussian(0.1, (0, 0, 0), 1.0),
+                                     tf.gaussian(0.1, (0, 0, 0), 1.0), 0.0)).real \
         == pytest.approx(0.2227331198732683, rel=1e-10)
 
 
 def test_invham_requires_three_dimensions():
     with pytest.raises(DimensionTooLow):
-        tf.invham_pair(tf.gaussian(1.0, (0, 0), 1.0), tf.gaussian(1.0, (0, 0), 1.0))
+        tf.resolvent_pair(tf.gaussian(1.0, (0, 0), 1.0), tf.gaussian(1.0, (0, 0), 1.0), 0.0)
 
 
 def test_resolvent_against_momentum_quadrature():
@@ -131,8 +131,9 @@ def test_resolvent_against_momentum_quadrature():
 
     oracle = quad(integrand, 0, np.inf, limit=200)[0]
     assert complex(tf.resolvent_pair(f, f, c)).real == pytest.approx(oracle, rel=1e-10)
-    with pytest.raises(DomainViolation):
-        tf.resolvent_pair(f, f, 0.0)
+    for c in (-0.1, math.nan):
+        with pytest.raises(DomainViolation):
+            tf.resolvent_pair(f, f, c)
 
 
 def test_thermal_routes_agree():
@@ -252,7 +253,8 @@ def test_gauss_terms_and_json_reject_bad_input():
 
 
 @pytest.mark.parametrize("pair", [lambda f, g: tf.resolvent_pair(f, g, 0.3),
-                                  tf.invham_pair], ids=["resolvent", "invham"])
+                                  lambda f, g: tf.resolvent_pair(f, g, 0.0)],
+                         ids=["resolvent", "invham"])
 def test_diagonal_pairing_of_three_terms_is_real_and_fast(pair):
     f = mix_three()
     t0 = time.perf_counter()
