@@ -11,15 +11,33 @@ At ``hbar == 0`` the algebra is commutative and carries the Poisson bracket
 
     {W(f), W(g)} = sigma(g, f) W(f + g).
 
-Labels are merged by rounding every coordinate to 1e-12 and comparing
-exactly; coefficients below 1e-15 in magnitude are pruned after arithmetic.
+Labels are merged on one canonical grid: a coordinate x with
+|x| < 2**52 * 1e-12 becomes rint(x * 1e12) / 1e12, a larger one stays as it
+is, and the rounded labels compare exactly as dict keys, so -0.0 and 0.0
+are one key.  Coefficients below 1e-15 in magnitude are pruned after
+arithmetic.
+
+The product, the Poisson bracket and the scaled commutator run through one
+kernel, ``_combine``.  For every term pair it forms the label sum f + g and
+sigma(f, g), multiplies c_f c_g by a factor of sigma (the twist
+exp(-i*hbar*sigma/2), the bracket weight sigma(g, f) = -sigma(f, g), or the
+commutator weight -(2/hbar) sin(hbar*sigma/2)), rounds the sums and merges
+them in pair order in one dict pass.  The kernel works on numpy arrays.
+Below ``_SMALL_PAIRS`` term pairs a plain loop does the same arithmetic
+instead: the fixed cost of the array calls, about 0.06 ms, would otherwise
+dominate the single-label products that the quantization residuals are
+built from.  Both paths round and multiply in the same order, so a result
+does not depend on the path that computed it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import chain
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     DomainViolation,
@@ -31,8 +49,25 @@ from .errors import (
     ZeroHbar,
 )
 
-MERGE_DECIMALS = 12
 COEFF_PRUNE = 1e-15
+_GRID = 1e12
+_GRID_LIMIT = 2.0 ** 52 / _GRID  # above it x * 1e12 is already an integer
+# Term pairs below which _combine loops in Python: the two paths cross at
+# about 0.07 ms and 18 pairs (dimension 2, numpy 2.4, 2 vCPU x86-64).
+_SMALL_PAIRS = 18
+
+
+def _canon(x: float) -> float:
+    """The canonical grid value of one coordinate (the sign of zero kept)."""
+    if abs(x) < _GRID_LIMIT:
+        return math.copysign(round(x * _GRID) / _GRID, x)
+    return x
+
+
+def _canon_array(x: np.ndarray) -> np.ndarray:
+    """``_canon`` of every entry of a float array."""
+    small = np.abs(x) < _GRID_LIMIT
+    return np.where(small, np.rint(np.where(small, x, 0.0) * _GRID) / _GRID, x)
 
 
 def _canon_label(coords: Iterable[complex]) -> tuple[complex, ...]:
@@ -40,7 +75,7 @@ def _canon_label(coords: Iterable[complex]) -> tuple[complex, ...]:
     out = []
     for z in coords:
         z = complex(z)
-        out.append(complex(round(z.real, MERGE_DECIMALS), round(z.imag, MERGE_DECIMALS)))
+        out.append(complex(_canon(z.real), _canon(z.imag)))
     return tuple(out)
 
 
@@ -88,6 +123,20 @@ class WeylElement:
             if abs(coeff) >= COEFF_PRUNE:
                 clean[label] = coeff
         self.terms = clean
+
+    @classmethod
+    def _merged(cls, hbar: float, dim: int, labels: Iterable[tuple[complex, ...]],
+                coeffs: Iterable[complex]) -> "WeylElement":
+        """Sum the coefficients of equal canonical labels in the order given
+        and prune small sums; the labels must already have length ``dim``."""
+        terms: dict[tuple[complex, ...], complex] = {}
+        get = terms.get
+        for label, c in zip(labels, coeffs):
+            terms[label] = get(label, 0.0) + c
+        out = cls.__new__(cls)
+        out.hbar, out.dim = hbar, dim
+        out.terms = {l: c for l, c in terms.items() if abs(c) >= COEFF_PRUNE}
+        return out
 
     # -- construction -----------------------------------------------------
 
@@ -172,6 +221,96 @@ def unit(dim: int, hbar: float = 0.0) -> WeylElement:
     return WeylElement.unit(dim, hbar)
 
 
+def _phase(s, h, trig):
+    """Weyl twist exp(-i*h*s/2) as (real, imaginary) part."""
+    x = -h * s / 2.0
+    return trig.cos(x), trig.sin(x)
+
+
+def _bracket_weight(s, h, trig):
+    """sigma(g, f) = -sigma(f, g); real, so no imaginary part."""
+    return -s, None
+
+
+def _commutator_weight(s, h, trig):
+    """(1/(i*h)) (exp(-i*h*s/2) - exp(i*h*s/2)) = -(2/h) sin(h*s/2)."""
+    return -(2.0 / h) * trig.sin(h * s / 2.0), None
+
+
+_OUT_OF_RANGE = "a label sum or sigma(f, g) leaves the float range"
+
+
+def _combine_loop(a: WeylElement, b: WeylElement, factor) -> WeylElement:
+    """``_combine_arrays`` with Python floats, for products of few term pairs."""
+    labels, coeffs = [], []
+    for f, cf in a.terms.items():
+        for g, cg in b.terms.items():
+            s = 0.0
+            label = []
+            for u, v in zip(f, g):
+                s += u.real * v.imag - u.imag * v.real
+                z = u + v
+                if not cmath.isfinite(z):
+                    raise DomainViolation(_OUT_OF_RANGE)
+                label.append(complex(_canon(z.real), _canon(z.imag)))
+            if not math.isfinite(s):
+                raise DomainViolation(_OUT_OF_RANGE)
+            re, im = factor(s, a.hbar, math)
+            w = cf * cg
+            coeffs.append(complex(w.real * re, w.imag * re) if im is None
+                          else w * complex(re, im))
+            labels.append(tuple(label))
+    return WeylElement._merged(a.hbar, a.dim, labels, coeffs)
+
+
+def _read(a: WeylElement) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of shape (n, dim) and coefficients of shape (n,) as arrays."""
+    n = len(a.terms)
+    labels = np.fromiter(chain.from_iterable(a.terms), complex, n * a.dim)
+    return labels.reshape(n, a.dim), np.fromiter(a.terms.values(), complex, n)
+
+
+def _combine_arrays(a: WeylElement, b: WeylElement, factor) -> WeylElement:
+    """``_combine`` on numpy arrays.  Every array operation repeats the float
+    operation of ``_combine_loop`` in the same order, so both give the same
+    labels and coefficients; overflow gives inf as Python floats do."""
+    (fa, ca), (fb, cb) = _read(a), _read(b)
+    fr, fi = fa.real[:, None, :], fa.imag[:, None, :]
+    gr, gi = fb.real[None, :, :], fb.imag[None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.zeros((len(ca), len(cb)))
+        for k in range(a.dim):
+            s += fr[..., k] * gi[..., k] - fi[..., k] * gr[..., k]
+        sr, si = fr + gr, fi + gi
+        if not (np.isfinite(s).all() and np.isfinite(sr).all() and np.isfinite(si).all()):
+            raise DomainViolation(_OUT_OF_RANGE)
+        re, im = factor(s, a.hbar, np)
+        ar, ai = ca.real[:, None], ca.imag[:, None]
+        br, bi = cb.real[None, :], cb.imag[None, :]
+        wr, wi = ar * br - ai * bi, ar * bi + ai * br
+        coeffs = np.empty(s.shape, complex)
+        if im is None:
+            coeffs.real, coeffs.imag = wr * re, wi * re
+        else:
+            coeffs.real, coeffs.imag = wr * re - wi * im, wr * im + wi * re
+    sums = np.empty(sr.shape, complex)
+    sums.real, sums.imag = _canon_array(sr), _canon_array(si)
+    columns = sums.reshape(-1, a.dim).T.tolist()
+    return WeylElement._merged(a.hbar, a.dim, zip(*columns), coeffs.ravel().tolist())
+
+
+def _combine(a: WeylElement, b: WeylElement, factor) -> WeylElement:
+    """sum over term pairs of factor(sigma(f, g)) c_f c_g W(f + g).
+
+    ``factor(s, hbar, trig)`` returns the (real, imaginary) parts of the pair
+    weight, with None for a real weight, evaluated through ``trig`` (math or
+    numpy).  DomainViolation when a label sum or sigma is not finite.
+    """
+    if len(a.terms) * len(b.terms) < _SMALL_PAIRS:
+        return _combine_loop(a, b, factor)
+    return _combine_arrays(a, b, factor)
+
+
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     """Bilinear extension of the Weyl relation.
 
@@ -179,27 +318,17 @@ def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     hbar == 0 this is the commutative pointwise product.
     """
     a._check_compatible(b)
-    h = a.hbar
-    terms: dict[tuple[complex, ...], complex] = {}
-    for f, cf in a.terms.items():
-        for g, cg in b.terms.items():
-            if h != 0.0:
-                phase = complex(math.cos(-h * sigma(f, g) / 2.0),
-                                math.sin(-h * sigma(f, g) / 2.0))
-            else:
-                phase = 1.0
-            label = _canon_label(u + v for u, v in zip(f, g))
-            terms[label] = terms.get(label, 0.0) + cf * cg * phase
-    return WeylElement(h, a.dim, terms)
+    return _combine(a, b, _phase)
 
 
 def adjoint(a: WeylElement) -> WeylElement:
     """*-operation: (c W(f))* = conj(c) W(-f); an anti-homomorphism."""
-    terms = {}
-    for f, c in a.terms.items():
-        label = _canon_label(-z for z in f)
-        terms[label] = terms.get(label, 0.0) + c.conjugate()
-    return WeylElement(a.hbar, a.dim, terms)
+    labels, coeffs = _read(a)
+    flipped = np.empty(labels.shape, complex)
+    flipped.real = _canon_array(-labels.real)
+    flipped.imag = _canon_array(-labels.imag)
+    return WeylElement._merged(a.hbar, a.dim, map(tuple, flipped.tolist()),
+                               coeffs.conj().tolist())
 
 
 def poisson_bracket(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -211,30 +340,23 @@ def poisson_bracket(a: WeylElement, b: WeylElement) -> WeylElement:
         raise NonzeroHbar("Poisson bracket requires hbar == 0 on both factors")
     if a.dim != b.dim:
         raise MismatchedDimension(f"{a.dim} vs {b.dim}")
-    terms: dict[tuple[complex, ...], complex] = {}
-    for f, cf in a.terms.items():
-        for g, cg in b.terms.items():
-            s = sigma(g, f)
-            if s == 0.0:
-                continue
-            label = _canon_label(u + v for u, v in zip(f, g))
-            terms[label] = terms.get(label, 0.0) + s * cf * cg
-    return WeylElement(0.0, a.dim, terms)
+    return _combine(a, b, _bracket_weight)
 
 
 def scaled_commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """(1/(i*hbar)) (ab - ba) for a common hbar > 0.
 
     On generators this equals -(2/hbar) sin(hbar*sigma(f,g)/2) W(f+g), which
-    converges to the Poisson bracket sigma(g,f) W(f+g) as hbar -> 0.
+    converges to the Poisson bracket sigma(g,f) W(f+g) as hbar -> 0; the
+    kernel applies that weight directly, without forming ab and ba.
     """
     if a.hbar != b.hbar:
         raise MismatchedHbar(f"{a.hbar} vs {b.hbar}")
     if a.hbar == 0.0:
         raise ZeroHbar("scaled commutator requires hbar > 0; "
                        "use poisson_bracket at hbar == 0")
-    comm = multiply(a, b) - multiply(b, a)
-    return comm.scale(1.0 / (1j * a.hbar))
+    a._check_compatible(b)
+    return _combine(a, b, _commutator_weight)
 
 
 def central_state(a: WeylElement) -> complex:

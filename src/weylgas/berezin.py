@@ -22,6 +22,7 @@ overlap product; a node-doubling consistency check is mandatory.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,15 @@ def coherent_state(q, p, h: float) -> WavePacket:
     if not 0 < h < math.inf:
         raise DomainViolation(f"coherent states need 0 < h < inf, got {h}")
     ell = q.size
-    amp = (h * math.pi) ** (-ell / 4.0) * np.exp(-1j * float(q @ p) / (2.0 * h))
+    try:
+        norm = (h * math.pi) ** (-ell / 4.0)  # 0.0 once h * pi overflows
+    except OverflowError:
+        norm = math.inf
+    if not sys.float_info.min <= norm < math.inf:
+        raise DomainViolation(
+            f"the coherent normalization (h pi)^(-l/4) leaves the normal float range "
+            f"at h = {h}, l = {ell}")
+    amp = norm * np.exp(-1j * float(q @ p) / (2.0 * h))
     return WavePacket(amp=amp, centers=tuple(q), sigmas=(math.sqrt(h),) * ell,
                       waves=tuple(p / h))
 
@@ -140,6 +149,8 @@ def _axis_rates(c, s, w, h):
 def _gh_axis(rate: float, center: float, nodes: int):
     """Gauss-Hermite points mapped to envelope scale, weights with the
     e^{x^2} factor restored (safe for the node counts used here)."""
+    if not sys.float_info.min <= rate < math.inf:
+        raise DomainViolation(f"the quadrature envelope rate {rate} leaves the normal float range")
     x, w = gauss_hermite(nodes)
     pts = center + x / math.sqrt(rate)
     fac = w * np.exp(x * x) / math.sqrt(rate)

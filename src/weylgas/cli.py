@@ -31,11 +31,14 @@ from .errors import CertificateError, ValidationError, InvalidSpec
 
 __all__ = ["main"]
 
+# check-sdq rows, each a few residuals of about 0.1 ms; more are refused
+_MAX_ROWS = 100_000
+
 
 def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InvalidSpec(f"malformed JSON for {what}: {exc}") from exc
 
 
@@ -43,7 +46,7 @@ def _parse_label(text: str) -> tuple[complex, ...]:
     data = _parse_json(text, "label")
     try:
         label = tuple(complex(re, im) for re, im in data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec("label must be [[re, im], ...]") from exc
     if not all(cmath.isfinite(z) for z in label):
         raise InvalidSpec(f"label entries must be finite, got {text!r}")
@@ -95,9 +98,11 @@ def _cmd_solve_mu(args) -> dict:
 def _cmd_check_sdq(args) -> dict:
     f = _parse_label(args.f)
     g = _parse_label(args.g)
-    if args.count < 2 or not (0 < args.hmin < math.inf and 0 < args.hmax < math.inf) \
+    if not 2 <= args.count <= _MAX_ROWS \
+            or not (0 < args.hmin < math.inf and 0 < args.hmax < math.inf) \
             or args.hmin == args.hmax:
-        raise InvalidSpec("a slope needs --count >= 2 and distinct finite --hmin, --hmax > 0")
+        raise InvalidSpec(f"a slope needs 2 <= --count <= {_MAX_ROWS} and distinct finite "
+                          "--hmin, --hmax > 0")
     hs = np.logspace(math.log10(args.hmin), math.log10(args.hmax), args.count)
     base = alg.weyl(f) + alg.weyl(g)
     rows = []
@@ -122,7 +127,11 @@ def _cmd_check_kms(args) -> dict:
     mu = dv.get("mu", 0.0) if isinstance(dv, dict) else None
     if isinstance(mu, bool) or not isinstance(mu, (int, float)):
         raise InvalidSpec(f'--deriv must be {{"kind": ..., "mu": number}}, got {args.deriv!r}')
-    deriv = eq.WeakDerivationSpec(kind=dv.get("kind", "H"), mu=float(mu))
+    try:
+        mu = float(mu)
+    except OverflowError:
+        raise InvalidSpec("--deriv mu leaves the float range") from None
+    deriv = eq.WeakDerivationSpec(kind=dv.get("kind", "H"), mu=mu)
     f = tf.from_json_dict(_parse_json(args.f, "--f"))
     g = tf.from_json_dict(_parse_json(args.g, "--g"))
     residual = eq.kms_residual(spec, deriv, f, g, mode=args.mode, dt=args.dt)

@@ -77,10 +77,17 @@ def _coerce_label(spec: GaussianMeasureSpec, phi) -> np.ndarray:
     return arr
 
 
+# Normal draws one sample may hold (512 MB of floats); a larger request is
+# refused instead of allocated.
+_MAX_DRAWS = 1 << 26
+
+
 def sample(spec: GaussianMeasureSpec, count: int, seed: int) -> np.ndarray:
     """(count, 2n) array of phase points; columns are q_1..q_n, p_1..p_n."""
     if count <= 0:
         raise DomainViolation("count must be positive")
+    if count * 2 * spec.n > _MAX_DRAWS:
+        raise DomainViolation(f"count {count} needs more than {_MAX_DRAWS} normal draws")
     if not 0 <= seed < 2 ** 128:
         raise DomainViolation(f"seed must lie in [0, 2^128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -49,8 +49,9 @@ class BoxSpectrum:
             raise InvalidSpec(f"box half-width must be positive and finite, got {self.L}")
         if self.nu < 1:
             raise InvalidSpec(f"nu must be >= 1, got {self.nu}")
-        if self.cutoff < 1:
-            raise InvalidSpec(f"cutoff must be >= 1, got {self.cutoff}")
+        # per-axis tables hold cutoff entries, so the shell-table cap bounds it too
+        if not 1 <= self.cutoff <= _MAX_SHELLS:
+            raise InvalidSpec(f"cutoff must lie in [1, {_MAX_SHELLS}], got {self.cutoff}")
 
 
 def kappa(L: float) -> float:
@@ -88,7 +89,8 @@ _MAX_SHELLS = 1 << 22
 def _head_bins(cutoff: int, nu: int) -> np.ndarray:
     """m' - (nu - 1) with m' = n_1^2 + ... + n_{nu-1}^2 over [1..cutoff]^{nu-1},
     flattened in C order (one 0 for nu = 1); read-only."""
-    if max(nu * cutoff ** 2, cutoff ** (nu - 1)) > _MAX_SHELLS:
+    # the first test bounds nu and cutoff before the power is formed
+    if nu * cutoff ** 2 > _MAX_SHELLS or cutoff ** (nu - 1) > _MAX_SHELLS:
         raise DomainViolation(
             f"the shell tables of cutoff {cutoff} at nu = {nu} exceed "
             f"{_MAX_SHELLS} entries")

@@ -496,12 +496,16 @@ def _json_numbers(value, length: int, what: str) -> tuple[float, ...]:
     if not (isinstance(value, (list, tuple)) and len(value) == length and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise InvalidSpec(f"{what} must be a list of {length} numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    try:
+        return tuple(float(v) for v in value)
+    except OverflowError:
+        raise InvalidSpec(f"{what} leaves the float range") from None
 
 
 def from_json_dict(d: Mapping) -> TestFunction:
     """The TestFunction of a JSON object; InvalidSpec for missing keys,
-    values of the wrong type and lists of the wrong length."""
+    values of the wrong type, lists of the wrong length and integers too
+    large for a float."""
     if not isinstance(d, Mapping) or not isinstance(d.get("terms"), list):
         raise InvalidSpec(f"a test function is an object with a list of terms, got {d!r}")
     nu = d.get("nu")

@@ -219,3 +219,149 @@ def test_norm_bounds_bracket_l2(a):
 def test_from_json_dict_rejects_malformed_input(d):
     with pytest.raises(InvalidSpec):
         alg.from_json_dict(d)
+
+
+# -- the bilinear kernel against the pairwise loop it replaced ----------------
+
+def oracle_combine(a, b, weight, skip_zero_sigma=False):
+    """sum over term pairs of c_f c_g weight(sigma) W(f + g), one pair at a time,
+    with the labels rounded by the module's canonical rounding."""
+    terms = {}
+    for f, cf in a.terms.items():
+        for g, cg in b.terms.items():
+            s = alg.sigma(f, g)
+            if skip_zero_sigma and s == 0.0:
+                continue
+            label = alg._canon_label(u + v for u, v in zip(f, g))
+            terms[label] = terms.get(label, 0.0) + cf * cg * weight(s)
+    return WeylElement(a.hbar, a.dim, terms)
+
+
+def oracle_multiply(a, b):
+    h = a.hbar
+    return oracle_combine(a, b, lambda s: complex(math.cos(-h * s / 2.0), math.sin(-h * s / 2.0)))
+
+
+def oracle_poisson(a, b):
+    # sigma(g, f) = -sigma(f, g); pairs with sigma == 0 add nothing
+    return oracle_combine(a, b, lambda s: -s, skip_zero_sigma=True)
+
+
+def oracle_adjoint(a):
+    terms = {}
+    for f, c in a.terms.items():
+        label = alg._canon_label(-z for z in f)
+        terms[label] = terms.get(label, 0.0) + c.conjugate()
+    return WeylElement(a.hbar, a.dim, terms)
+
+
+def pair_scale(a, b):
+    """sum over term pairs of |c_f| |c_g|."""
+    return sum(map(abs, a.terms.values())) * sum(map(abs, b.terms.values()))
+
+
+def assert_matches(got, want, a, b):
+    """Identical label keys; coefficients within 1e-13 of sum |c_f| |c_g|."""
+    assert got.terms.keys() == want.terms.keys()
+    for label, c in want.terms.items():
+        assert abs(got.terms[label] - c) <= 1e-13 * pair_scale(a, b)
+
+
+# -0.0 and a few small grid values make label sums collide
+kernel_coord = hst.one_of(hst.floats(-3.0, 3.0), hst.sampled_from([-0.0, 0.0, 0.5, -1.0, 1.0]))
+
+
+def kernel_elements(hbar):
+    """Elements of 1-40 terms, so products fall on both sides of the loop threshold."""
+    label = hst.tuples(*[hst.builds(complex, kernel_coord, kernel_coord) for _ in range(2)])
+    coeff = hst.builds(complex, hst.floats(-2.0, 2.0), hst.floats(-2.0, 2.0))
+    return hst.dictionaries(label.map(alg._canon_label), coeff, min_size=1, max_size=40).map(
+        lambda terms: WeylElement(hbar, 2, terms))
+
+
+def partner(a, how):
+    """b for the pair (a, b): a itself or its adjoint, whose sums collide."""
+    return a if how == "same" else alg.adjoint(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=kernel_elements(0.7), b=kernel_elements(0.7),
+       how=hst.sampled_from(["independent", "same", "adjoint"]))
+def test_product_and_commutator_match_pairwise_loop(a, b, how):
+    if how != "independent":
+        b = partner(a, how)
+    assert_matches(alg.multiply(a, b), oracle_multiply(a, b), a, b)
+    h = a.hbar
+    sc = alg.scaled_commutator(a, b)
+    assert_matches(sc, oracle_combine(
+        a, b, lambda s: -(2.0 / h) * math.sin(h * s / 2.0)), a, b)
+    # ... which is (ab - ba) / (i h), the commutator the kernel no longer forms
+    two_products = (oracle_multiply(a, b) - oracle_multiply(b, a)).scale(1.0 / (1j * h))
+    assert alg.elements_close(sc, two_products, atol=1e-13 * pair_scale(a, b) / h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=kernel_elements(0.0), b=kernel_elements(0.0),
+       how=hst.sampled_from(["independent", "same", "adjoint"]))
+def test_poisson_bracket_and_adjoint_match_pairwise_loop(a, b, how):
+    if how != "independent":
+        b = partner(a, how)
+    assert_matches(alg.poisson_bracket(a, b), oracle_poisson(a, b), a, b)
+    got, want = alg.adjoint(a), oracle_adjoint(a)
+    assert got.terms.keys() == want.terms.keys()
+    assert all(got.terms[label] == c for label, c in want.terms.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=kernel_elements(0.4), b=kernel_elements(0.4))
+def test_loop_and_array_paths_agree(a, b):
+    # the threshold only picks the faster path; the result is the same
+    for weight in (alg._phase, alg._commutator_weight, alg._bracket_weight):
+        loop = alg._combine_loop(a, b, weight)
+        arrays = alg._combine_arrays(a, b, weight)
+        assert loop.terms.keys() == arrays.terms.keys()
+        assert all(abs(arrays.terms[label] - c) <= 1e-15 * (1.0 + abs(c))
+                   for label, c in loop.terms.items())
+
+
+def _signed(label):
+    return [(z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+            for z in label]
+
+
+def test_canonical_rounding_is_one_rule():
+    rng = np.random.default_rng(11)
+    xs = [1e300, -1e300, -0.0, 0.0, 5e-13, -5e-13, 4503.5996, 4503.6, 4504.0, 7e15, *map(
+        float, np.concatenate([rng.uniform(-3, 3, 400), rng.uniform(-1e4, 1e4, 100),
+                               rng.uniform(-1e-11, 1e-11, 100)]))]
+    negative_zero = WeylElement(0.0, 1, {(complex(-0.0, -0.0),): 1.0})
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        z = complex(x, y)
+        (scalar,) = alg.weyl((z,)).terms
+        raw = WeylElement(0.0, 1, {(z,): 1.0})
+        (kernel,) = alg._combine_arrays(raw, negative_zero, alg._phase).terms
+        (flipped,) = alg.adjoint(WeylElement(0.0, 1, {(-z,): 1.0})).terms
+        assert _signed(scalar) == _signed(kernel) == _signed(flipped)
+
+
+def test_canonical_rounding_keeps_grid_labels():
+    # labels on a 1e-3 grid, on round(., 6) grids and their sums round as
+    # Python's round(x, 12) does, bit for bit
+    rng = np.random.default_rng(12)
+    grid = [k / 1000 for k in rng.integers(-3000, 3001, 300).tolist()]
+    six = [round(v, 6) for v in rng.uniform(-1, 1, 300).tolist()]
+    for values in (grid, six):
+        for x in values + [u + v for u, v in zip(values, values[1:])]:
+            assert alg._canon(x) == round(x, 12)
+            assert math.copysign(1.0, alg._canon(x)) == math.copysign(1.0, round(x, 12))
+
+
+@pytest.mark.parametrize("terms", [1, 5])
+def test_label_overflow_raises_on_both_paths(terms):
+    a = WeylElement(0.5, 1, {(complex(1e308, k),): 1.0 for k in range(terms)})
+    with pytest.raises(DomainViolation, match="float range"):
+        alg.multiply(a, a)
+    b = WeylElement(0.5, 1, {(complex(1e200, k),): 1.0 for k in range(terms)})
+    c = WeylElement(0.5, 1, {(complex(k, 1e200),): 1.0 for k in range(terms)})
+    with pytest.raises(DomainViolation, match="float range"):
+        alg.scaled_commutator(b, c)

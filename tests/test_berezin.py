@@ -123,3 +123,18 @@ def test_non_finite_h_is_rejected(h):
                  lambda: bz.berezin_positivity(bz.TrigPolySymbol([1.0], [(0, 0)]), psi, h)):
         with pytest.raises(DomainViolation):
             call()
+
+
+@pytest.mark.parametrize("h, ell", [(1e308, 1), (1e300, 8), (1e-300, 8)])
+def test_coherent_state_rejects_unnormalizable_h(h, ell):
+    # (h pi)^(-l/4) underflows, or h pi overflows, or the power overflows
+    with pytest.raises(DomainViolation, match="normal float range"):
+        bz.coherent_state([0.0] * ell, [0.0] * ell, h)
+
+
+def test_positivity_rejects_degenerate_envelope():
+    # at h = 1e308 the envelope rates underflow to 0; no division by zero
+    v = bz.WavePacket(amp=1.0, centers=(0.0,), sigmas=(1.0,), waves=(0.0,))
+    symbol = bz.TrigPolySymbol([1.0], [(1, 0)])
+    with pytest.raises(DomainViolation, match="normal float range"):
+        bz.berezin_positivity(symbol, v, 1e308)

@@ -180,6 +180,7 @@ def test_certificate_failures_exit_three(capsys):
     assert err.strip()
 
 
+_HUGE_INT = "1" + "0" * 400  # valid JSON and a valid int, but no float
 _FN = json.dumps({"nu": 3, "terms": [{"amp": [0.1, 0.0], "center": [0, 0, 0],
                                       "sigma": 1.0, "wave": [0, 0, 0]}]})
 
@@ -248,6 +249,23 @@ _FN = json.dumps({"nu": 3, "terms": [{"amp": [0.1, 0.0], "center": [0, 0, 0],
     ["berezin-verify", "--h", "1e308"],
     ["sample-gibbs", "--eigenvalues", "1,2", "--beta", "1e308", "--label", "[[1,0],[0,0.5]]",
      "--count", "100", "--seed", "1"],
+    # JSON integers too large for a float
+    ["witness", "--f", f"[[{_HUGE_INT},0]]"],
+    ["check-sdq", "--f", f"[[{_HUGE_INT},0]]", "--g", "[[0,1]]", "--count", "3"],
+    ["sample-gibbs", "--eigenvalues", "1", "--beta", "1", "--label", f"[[{_HUGE_INT},0]]"],
+    ["compute-state", "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}',
+     "--fn", _FN.replace('"sigma": 1.0', f'"sigma": {_HUGE_INT}')],
+    ["check-kms", "--deriv", '{"kind": "HMinusMu", "mu": %s}' % _HUGE_INT,
+     "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
+    ["witness", "--f", "[[%s,0]]" % ("1" + "0" * 5000)],
+    # integer flags too large to act on
+    ["check-sdq", "--f", "[[1,0]]", "--g", "[[0,1]]", "--count", _HUGE_INT],
+    ["sample-gibbs", "--eigenvalues", "1,2", "--beta", "1", "--label", "[[1,0],[0,0.5]]",
+     "--count", _HUGE_INT],
+    ["solve-mu", "--rho", "0.1", "--L", "2", "--beta", "1", "--h", "1", "--cutoff", _HUGE_INT],
+    ["trace-check", "--s", "1", "--L", "1", "--nu", _HUGE_INT],
+    ["compute-state", "--state", '{"kind": "QuantumBoxGibbs", "beta": 1, "mu": -1, "h": 1, '
+     '"box": {"L": 2, "nu": 3, "cutoff": %s}}' % _HUGE_INT, "--fn", _FN],
 ])
 def test_bad_inputs_exit_two_without_traceback(capsys, argv):
     code = cli.main(argv)
@@ -311,7 +329,7 @@ _VALID = {
     "trace-check": {"--s": ("2",), "--L": ("1",), "--nu": ("3",), "--cutoff": ("8",)},
     "witness": {"--f": ("[[1,0]]",), "--h": ("1",), "--n-max": ("5",)},
 }
-_BAD = ("0", "-1", "nan", "inf", "1e308", "{not json")
+_BAD = ("0", "-1", "nan", "inf", "1e308", _HUGE_INT, "{not json")
 
 
 @settings(max_examples=300, deadline=None)
