@@ -101,8 +101,8 @@ class WeylElement:
     """Finite combination sum_f c_f W(f) at a fixed deformation parameter.
 
     ``terms`` maps canonical labels (tuples of complex) to complex
-    coefficients.  Instances are immutable by convention; arithmetic returns
-    new elements.
+    coefficients, all finite (DomainViolation otherwise).  Instances are
+    immutable by convention; arithmetic returns new elements.
     """
 
     __slots__ = ("hbar", "dim", "terms")
@@ -120,6 +120,9 @@ class WeylElement:
                 raise MismatchedDimension(
                     f"label of length {len(label)} in a dimension-{dim} element")
             coeff = complex(coeff)
+            if not (cmath.isfinite(coeff) and all(map(cmath.isfinite, label))):
+                raise DomainViolation(
+                    f"label coordinates and coefficients must be finite: {label}, {coeff}")
             if abs(coeff) >= COEFF_PRUNE:
                 clean[label] = coeff
         self.terms = clean

@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_sample_gibbs)
 
     p = sub.add_parser("berezin-verify",
-                       help="quadrature vs closed form on ground coherent state")
+                       help="phase-space integral vs Schrodinger side on the ground coherent state")
     p.add_argument("--l", type=int, default=1, help="number of axes")
     p.add_argument("--lambda", dest="lam", default="1.0", help="comma vector")
     p.add_argument("--mu", default="0.0", help="comma vector")

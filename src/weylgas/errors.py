@@ -85,7 +85,8 @@ class StepTooLarge(CertificateError):
 # -- numerics ---------------------------------------------------------------
 
 class QuadratureFailure(CertificateError):
-    """A quadrature self-check (node doubling) exceeded its tolerance."""
+    """A quadrature self-check exceeded its tolerance, or a closed-form
+    integral left the float range."""
 
 
 class TailToleranceExceeded(CertificateError):

@@ -254,14 +254,17 @@ def _quad_complex(fn, lo, hi, *, real=False):
     # scipy's slow-convergence heuristic misfires on long exponential tails
     # (e.g. resolvent pairings at tiny spectral shift); accuracy is enforced
     # by the dual-route and oracle tests instead.  ``real`` skips the
-    # imaginary part of an integrand known to be real: its rounding noise
-    # would otherwise drive quad to the subdivision limit.
+    # imaginary part of an integrand known to be real.  Otherwise the
+    # imaginary part gets an absolute tolerance from the real part's scale:
+    # when it cancels to rounding noise, a relative tolerance alone would
+    # drive quad to the subdivision limit.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         re, _ = quad(lambda x: fn(x).real, lo, hi, epsabs=0.0, epsrel=_RTOL, limit=400)
         if real:
             return complex(re, 0.0)
-        im, _ = quad(lambda x: fn(x).imag, lo, hi, epsabs=0.0, epsrel=_RTOL * 10, limit=400)
+        im, _ = quad(lambda x: fn(x).imag, lo, hi, epsabs=_RTOL * abs(re),
+                     epsrel=_RTOL * 10, limit=400)
     return complex(re, im)
 
 

@@ -365,3 +365,16 @@ def test_label_overflow_raises_on_both_paths(terms):
     c = WeylElement(0.5, 1, {(complex(k, 1e200),): 1.0 for k in range(terms)})
     with pytest.raises(DomainViolation, match="float range"):
         alg.scaled_commutator(b, c)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: alg.weyl((math.nan, 1j), 0.3),
+    lambda: alg.weyl((complex(0.0, math.inf),), 0.0),
+    lambda: alg.weyl((1.0,), 0.0, coeff=math.nan),
+    lambda: alg.WeylElement(0.3, 1, {(1j,): math.nan}),
+    lambda: alg.WeylElement(0.3, 1, {(1j,): math.inf}),
+    lambda: alg.WeylElement(0.0, 1, {(complex(math.nan, 0.0),): 1.0}),
+])
+def test_non_finite_labels_and_coefficients_are_rejected(build):
+    with pytest.raises(DomainViolation, match="finite"):
+        build()

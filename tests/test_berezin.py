@@ -62,7 +62,7 @@ def test_schrodinger_ground_state_anchor():
 
 
 def test_quantization_reproduces_weyl_functional():
-    # quadrature vs exp(-h(lam^2+mu^2)/4) * schrodinger element, several cases
+    # phase-space side vs exp(-h(lam^2+mu^2)/4) * schrodinger element, several cases
     rng = np.random.default_rng(42)
     for h in (0.5, 1.0, 2.0):
         phi = bz.coherent_state([rng.uniform(-1, 1)], [rng.uniform(-1, 1)], h)
@@ -133,8 +133,88 @@ def test_coherent_state_rejects_unnormalizable_h(h, ell):
 
 
 def test_positivity_rejects_degenerate_envelope():
-    # at h = 1e308 the envelope rates underflow to 0; no division by zero
+    # at h = 1e308, h det A underflows below the normal float range
     v = bz.WavePacket(amp=1.0, centers=(0.0,), sigmas=(1.0,), waves=(0.0,))
     symbol = bz.TrigPolySymbol([1.0], [(1, 0)])
     with pytest.raises(DomainViolation, match="normal float range"):
         bz.berezin_positivity(symbol, v, 1e308)
+
+
+def _random_packet(rng, ell, h):
+    if rng.random() < 0.5:
+        return bz.coherent_state(rng.uniform(-1, 1, ell), rng.uniform(-1, 1, ell), h)
+    return bz.WavePacket(amp=complex(*rng.uniform(-1, 1, 2)),
+                         centers=tuple(rng.uniform(-1, 1, ell)),
+                         sigmas=tuple(rng.uniform(0.5, 2.0, ell)),
+                         waves=tuple(rng.uniform(-2, 2, ell)))
+
+
+def test_closed_form_matches_identity_on_random_elements():
+    # the phase-space side against e^{-h(|lam|^2+|mu|^2)/4} <phi, W_h psi>
+    rng = np.random.default_rng(2024)
+    cases = [(np.array([3.5]), np.array([-1.5]), 2.74,
+              bz.WavePacket(0.6 - 0.3j, (0.4,), (1.3,), (-0.8,)),
+              bz.coherent_state([-0.2], [0.5], 2.74))]
+    for _ in range(120):
+        ell, h = int(rng.integers(1, 4)), float(rng.uniform(0.05, 3.0))
+        cases.append((rng.uniform(-3, 3, ell), rng.uniform(-3, 3, ell), h,
+                      _random_packet(rng, ell, h), _random_packet(rng, ell, h)))
+    smallest = math.inf
+    for lam, mu, h, phi, psi in cases:
+        got = bz.berezin_matrix_element(lam, mu, phi, psi, h)
+        want = math.exp(-h * float(lam @ lam + mu @ mu) / 4.0) \
+            * bz.schrodinger_matrix_element(lam, mu, phi, psi, h)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        smallest = min(smallest, abs(want))
+    assert smallest < 1e-9  # a relative check, not an absolute one below 1
+
+
+def test_matrix_element_underflows_to_zero():
+    psi = bz.coherent_state([0.0], [0.0], 1.0)
+    assert bz.berezin_matrix_element([60.0], [0.0], psi, psi, 1.0) == 0.0
+
+
+def test_positivity_matches_coherent_husimi_closed_form():
+    # |<psi^{qp}, v>|^2 for a coherent v at (q0, p0) is a Gaussian of
+    # variance h around it, whose Fourier transform gives each plane wave
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        coeffs = [complex(*rng.uniform(-1, 1, 2)) for _ in range(3)]
+        freqs = [(0, 0), (int(rng.integers(-2, 3)), 0), (0, int(rng.integers(1, 3)))]
+        h = rng.uniform(0.3, 2.0)
+        q0, p0 = rng.uniform(-1, 1, 2)
+        want = sum(c1.conjugate() * c2
+                   * cmath.exp(1j * ((m2[0] - m1[0]) * q0 + (m2[1] - m1[1]) * p0))
+                   * math.exp(-h * ((m2[0] - m1[0]) ** 2 + (m2[1] - m1[1]) ** 2) / 2.0)
+                   for c1, m1 in zip(coeffs, freqs) for c2, m2 in zip(coeffs, freqs)).real
+        got = bz.berezin_positivity(bz.TrigPolySymbol(coeffs, freqs),
+                                    bz.coherent_state([q0], [p0], h), h)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["amp", "centers", "sigmas", "waves"])
+def test_wave_packet_rejects_non_finite_fields(field, bad):
+    fields = {"amp": 1.0, "centers": (0.0,), "sigmas": (1.0,), "waves": (0.0,)}
+    fields[field] = bad if field == "amp" else (bad,)
+    with pytest.raises(DomainViolation, match="finite"):
+        bz.WavePacket(**fields)
+
+
+@pytest.mark.parametrize("coeffs, freqs", [
+    ([1.0], [(math.nan, 0)]),
+    ([1.0], [(0, math.inf)]),
+    ([1.0], [(1.5, 0)]),
+    ([1.0], [(10 ** 400, 0)]),
+    ([1.0, 1.0], [(10 ** 308, 0), (-10 ** 308, 0)]),
+    ([1.0], [(0, 2 ** 1022 + 2 ** 970)]),
+    ([math.nan], [(0, 0)]),
+    ([complex(1.0, math.inf)], [(0, 1)]),
+])
+def test_symbol_rejects_non_finite_or_fractional_input(coeffs, freqs):
+    with pytest.raises(DomainViolation):
+        bz.TrigPolySymbol(coeffs, freqs)
+
+
+def test_symbol_accepts_integral_float_frequencies():
+    assert bz.TrigPolySymbol([1.0], [(2.0, np.int64(-1))]).freqs == ((2, -1),)

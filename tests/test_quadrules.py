@@ -24,15 +24,20 @@ def test_rules_equal_fresh_construction():
 
 def test_cold_and_warm_cache_give_identical_results():
     packet = bz.WavePacket(0.8 + 0.1j, (0.3, -0.2), (0.9, 1.1), (0.5, 0.0))
+    # a moving packet gives the critical thermal correction a momentum term,
+    # so it runs on the Gauss-Hermite rule
+    moving = tf.gaussian(1.0, (0.2, 0.0, 0.0), 0.5, (0.7, 0.0, 0.0))
 
     def run():
         return (tf.axis_sine_overlaps(0.3, 0.4, 1.1, 2.0, 24),
                 tf.restricted_norm_sq(tf.gaussian(1.0, (0.2,), 0.5, (0.7,)), 1.0),
-                bz.berezin_matrix_element((0.4, -0.3), (0.2, 0.1), packet, packet, 0.5))
+                bz.berezin_matrix_element((0.4, -0.3), (0.2, 0.1), packet, packet, 0.5),
+                tf.thermal_pair(moving, moving, 1.0, 1.0, 0.0))
 
     qr.gauss_legendre.cache_clear()
     qr.gauss_hermite.cache_clear()
     cold = run()
     warm = run()
+    assert qr.gauss_hermite.cache_info().hits > 0
     assert np.array_equal(cold[0], warm[0])
     assert cold[1:] == warm[1:]

@@ -269,3 +269,17 @@ def test_diagonal_pairing_of_three_terms_is_real_and_fast(pair):
     bilinear = sum(pair(a, b) for a in singles for b in singles)
     assert val.real == pytest.approx(bilinear.real, rel=1e-10)
     assert abs(bilinear.imag) <= 1e-10 * abs(bilinear.real)
+
+
+def test_reordered_mixture_pairs_like_itself_and_fast():
+    # the imaginary part of <f, H^-1 g> cancels to rounding noise for a
+    # reordering g of f; it must not stall the tau-quadrature
+    f = (tf.gaussian(1.0, (0.0, 0.2, -0.1), 0.8)
+         + tf.gaussian(0.5 - 0.3j, (0.4, -0.3, 0.1), 1.1)
+         + tf.gaussian(-0.7 + 0.2j, (-0.5, 0.1, 0.3), 0.6, (0.3, -0.2, 0.1)))
+    g = tf.TestFunction(3, f.terms[::-1])
+    want = tf.resolvent_pair(f, f, 0.0)
+    start = time.perf_counter()
+    got = tf.resolvent_pair(f, g, 0.0)
+    assert time.perf_counter() - start < 1.0
+    assert abs(got - want) <= 1e-12 * abs(want)
