@@ -123,7 +123,11 @@ class WeylElement:
             if not (cmath.isfinite(coeff) and all(map(cmath.isfinite, label))):
                 raise DomainViolation(
                     f"label coordinates and coefficients must be finite: {label}, {coeff}")
-            if abs(coeff) >= COEFF_PRUNE:
+            try:
+                keep = abs(coeff) >= COEFF_PRUNE
+            except OverflowError:  # finite parts, modulus beyond the float range
+                keep = True
+            if keep:
                 clean[label] = coeff
         self.terms = clean
 
@@ -138,7 +142,11 @@ class WeylElement:
             terms[label] = get(label, 0.0) + c
         out = cls.__new__(cls)
         out.hbar, out.dim = hbar, dim
-        out.terms = {l: c for l, c in terms.items() if abs(c) >= COEFF_PRUNE}
+        try:
+            out.terms = {l: c for l, c in terms.items() if abs(c) >= COEFF_PRUNE}
+        except OverflowError:  # finite parts, modulus beyond the float range
+            out.terms = {l: c for l, c in terms.items()
+                         if math.hypot(c.real, c.imag) >= COEFF_PRUNE}
         return out
 
     # -- construction -----------------------------------------------------
@@ -377,16 +385,25 @@ def norm_bounds(a: WeylElement) -> tuple[float, float]:
     lower = sqrt(sum |c_f|^2)  (the GNS norm of the canonical central state,
     i.e. sqrt(omega_c(a* a))); upper = sum |c_f| (triangle inequality, each
     generator being unitary).  Scaled summation keeps the lower bound finite
-    for coefficients near the floating-point overflow threshold.
+    for coefficients near the floating-point overflow threshold.  A
+    coefficient modulus or an upper bound beyond the float range raises
+    DomainViolation.
     """
     if not a.terms:
         return (0.0, 0.0)
-    mags = [abs(c) for c in a.terms.values()]
+    try:
+        mags = [abs(c) for c in a.terms.values()]
+        upper = math.fsum(mags)
+    except OverflowError:
+        upper = math.inf
+    if not upper < math.inf:
+        raise DomainViolation(
+            "a coefficient modulus or the upper bound sum |c_f| leaves the float range")
     top = max(mags)
     if top == 0.0:
         return (0.0, 0.0)
     lower = top * math.sqrt(sum((m / top) ** 2 for m in mags))
-    return (lower, math.fsum(mags))
+    return (lower, upper)
 
 
 def elements_close(a: WeylElement, b: WeylElement, atol: float = 1e-12) -> bool:

@@ -31,8 +31,9 @@ of the sum of the magnitudes of its terms, and that is the relative error
 of the result: about 1e-14 for packets within a few widths of the origin.
 A determinant outside the normal float range raises DomainViolation.  A
 non-finite exponent or value has no finite rounding bound and raises
-QuadratureFailure.  An exponent below about -745 underflows to 0.0, the
-correctly rounded value.
+QuadratureFailure, except that an exponent whose real part overflows to
+-inf returns 0.0, as one below about -745 underflows to it: the correctly
+rounded value.
 """
 
 from __future__ import annotations
@@ -113,10 +114,16 @@ def norm_sq(psi: WavePacket) -> float:
 
 def _axis_overlap(c1, s1, w1, c2, s2, w2):
     """int conj(axis1) axis2 dx in closed form."""
-    alpha = 1.0 / (2.0 * s1 ** 2) + 1.0 / (2.0 * s2 ** 2)
-    beta = c1 / s1 ** 2 + c2 / s2 ** 2 + 1j * (w2 - w1)
-    gamma = -c1 ** 2 / (2.0 * s1 ** 2) - c2 ** 2 / (2.0 * s2 ** 2)
-    return np.sqrt(np.pi / alpha) * np.exp(beta ** 2 / (4.0 * alpha) + gamma)
+    v1, v2 = s1 * s1, s2 * s2
+    alpha = 1.0 / (2.0 * v1) + 1.0 / (2.0 * v2)
+    beta = c1 / v1 + c2 / v2 + 1j * (w2 - w1)
+    gamma = -c1 * c1 / (2.0 * v1) - c2 * c2 / (2.0 * v2)
+    expo = beta * beta / (4.0 * alpha) + gamma
+    if expo.real == -math.inf:  # e^expo is 0 whatever its (NaN) phase
+        return 0j
+    if not cmath.isfinite(expo):
+        raise QuadratureFailure("the overlap exponent leaves the float range")
+    return np.sqrt(np.pi / alpha) * np.exp(expo)
 
 
 def overlap(phi: WavePacket, psi: WavePacket) -> complex:
@@ -202,6 +209,8 @@ def berezin_matrix_element(lam, mu, phi: WavePacket, psi: WavePacket,
                               phi.centers[i], phi.sigmas[i], phi.waves[i],
                               psi.centers[i], psi.sigmas[i], psi.waves[i], h)
         pref, expo = pref * f, expo + e
+    if expo.real == -math.inf:  # e^expo is 0 whatever its (NaN) phase
+        return 0j
     try:
         out = pref * cmath.exp(expo)
     except (OverflowError, ValueError):  # ValueError: exp of an infinite imaginary part

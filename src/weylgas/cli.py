@@ -27,7 +27,7 @@ from . import quantize as qz
 from . import spectrum as sp
 from . import states as st
 from . import testfn as tf
-from .errors import CertificateError, ValidationError, InvalidSpec
+from .errors import CertificateError, ValidationError, InvalidSpec, QuadratureFailure
 
 __all__ = ["main"]
 
@@ -199,8 +199,12 @@ def _cmd_berezin_verify(args) -> dict:
         raise InvalidSpec("--lambda and --mu must have --l components")
     ground = bz.coherent_state(np.zeros(args.l), np.zeros(args.l), args.h)
     quad = bz.berezin_matrix_element(lam, mu, ground, ground, args.h)
-    damp = math.exp(-args.h * float(lam @ lam + mu @ mu) / 4.0)
-    closed = damp * bz.schrodinger_matrix_element(lam, mu, ground, ground, args.h)
+    rate = args.h * sum(x * x for x in map(float, (*lam, *mu))) / 4.0
+    if rate == math.inf:
+        raise QuadratureFailure(
+            f"the damping exponent h(|lambda|^2 + |mu|^2)/4 leaves the float range "
+            f"at h = {args.h}, so rel_err has no finite rounding bound")
+    closed = math.exp(-rate) * bz.schrodinger_matrix_element(lam, mu, ground, ground, args.h)
     rel = abs(quad - closed) / max(abs(closed), 1e-300)
     return {"quad": _c2(quad), "closed_form": _c2(closed), "rel_err": rel}
 

@@ -15,8 +15,14 @@ residual
 
 has mean exactly zero, estimated here with a jackknife error bar.
 
-Sampling uses the counter-based Philox bit generator keyed by the seed, so
-a (spec, count, seed) triple reproduces the exact same array everywhere.
+Sampling draws standard normals from the SFC64 bit generator seeded
+through a SeedSequence of the seed, so a (spec, count, seed) triple
+reproduces the exact same draws everywhere.  The estimators never build the
+scaled phase points: the scales 1/sqrt(beta lambda_k) are folded into the
+pairing coefficients, one matrix-vector product of the raw normals gives
+each pairing, and the samples e^{i theta} are kept as real cos/sin arrays.
+``sample`` returns the same raw normals times the scales, so it sees the
+draws the estimators see.
 """
 
 from __future__ import annotations
@@ -82,18 +88,27 @@ def _coerce_label(spec: GaussianMeasureSpec, phi) -> np.ndarray:
 _MAX_DRAWS = 1 << 26
 
 
-def sample(spec: GaussianMeasureSpec, count: int, seed: int) -> np.ndarray:
-    """(count, 2n) array of phase points; columns are q_1..q_n, p_1..p_n."""
+def _normals(spec: GaussianMeasureSpec, count: int, seed: int) -> np.ndarray:
+    """(count, 2n) standard normals of the (spec, count, seed) stream."""
     if count <= 0:
         raise DomainViolation("count must be positive")
     if count * 2 * spec.n > _MAX_DRAWS:
         raise DomainViolation(f"count {count} needs more than {_MAX_DRAWS} normal draws")
     if not 0 <= seed < 2 ** 128:
         raise DomainViolation(f"seed must lie in [0, 2^128), got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    return rng.standard_normal((count, 2 * spec.n))
+
+
+def _scales(spec: GaussianMeasureSpec) -> np.ndarray:
+    """Standard deviations 1/sqrt(beta lambda_k) of q_1..q_n, p_1..p_n."""
     lam = np.asarray(spec.eigenvalues)
-    scales = np.sqrt(1.0 / (spec.beta * np.concatenate([lam, lam])))
-    return rng.standard_normal((count, 2 * spec.n)) * scales
+    return np.sqrt(1.0 / (spec.beta * np.concatenate([lam, lam])))
+
+
+def sample(spec: GaussianMeasureSpec, count: int, seed: int) -> np.ndarray:
+    """(count, 2n) array of phase points; columns are q_1..q_n, p_1..p_n."""
+    return _normals(spec, count, seed) * _scales(spec)
 
 
 def closed_form_theta(spec: GaussianMeasureSpec, phi) -> float:
@@ -103,39 +118,50 @@ def closed_form_theta(spec: GaussianMeasureSpec, phi) -> float:
     return float(np.exp(-np.sum(np.abs(arr) ** 2 / lam) / (2.0 * spec.beta)))
 
 
-def _pairing_phases(spec: GaussianMeasureSpec, phi: np.ndarray,
-                    pts: np.ndarray) -> np.ndarray:
+def _pairing_coeffs(phi: np.ndarray) -> np.ndarray:
     # <phi, u> = sum_k (Re phi_k) q_k + (Im phi_k) p_k
-    return pts[:, : spec.n] @ phi.real + pts[:, spec.n:] @ phi.imag
+    return np.concatenate([phi.real, phi.imag])
 
 
 def jackknife_stderr(vals: np.ndarray) -> float:
     """Leave-one-out standard error of the sample mean.
 
     For the plain mean the jackknife variance collapses to
-    sum (x - xbar)^2 / (N (N-1)); complex samples combine the real and
-    imaginary spreads in quadrature.
+    sum (x - xbar)^2 / (N (N-1)).  Samples run along axis 0; the spreads of
+    further columns, and of the real and imaginary parts of complex
+    samples, combine in quadrature.
     """
     vals = np.asarray(vals)
+    if np.iscomplexobj(vals):
+        vals = np.stack([vals.real, vals.imag], axis=-1)
     n = vals.shape[0]
     if n < 2:
         raise DomainViolation("need at least two samples for an error bar")
-    mean = vals.mean()
-    dev = vals - mean
-    if np.iscomplexobj(vals):
-        ss = float(np.sum(dev.real ** 2) + np.sum(dev.imag ** 2))
-    else:
-        ss = float(np.sum(dev ** 2))
-    return math.sqrt(ss / (n * (n - 1)))
+    dev = vals - vals.mean(axis=0)
+    return math.sqrt(float(np.sum(dev * dev)) / (n * (n - 1)))
+
+
+def _mean_and_stderr(vals: np.ndarray) -> tuple[complex, float]:
+    """Mean of the complex samples stored as (real, imag) rows of ``vals``
+    and its jackknife error bar."""
+    re, im = vals.mean(axis=1)
+    return complex(re, im), jackknife_stderr(vals.T)
+
+
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """(2, N) rows cos theta, sin theta: e^{i theta} on real arrays."""
+    out = np.empty((2, theta.shape[0]))
+    np.cos(theta, out=out[0])
+    np.sin(theta, out=out[1])
+    return out
 
 
 def characteristic_mc(spec: GaussianMeasureSpec, phi, count: int,
                       seed: int) -> tuple[complex, float]:
     """Monte Carlo estimate of E[e^{i <phi, u>}] with jackknife error bar."""
     arr = _coerce_label(spec, phi)
-    pts = sample(spec, count, seed)
-    vals = np.exp(1j * _pairing_phases(spec, arr, pts))
-    return complex(vals.mean()), jackknife_stderr(vals)
+    coeffs = _pairing_coeffs(arr) * _scales(spec)
+    return _mean_and_stderr(_cis(_normals(spec, count, seed) @ coeffs))
 
 
 def kms_exact_moment(spec: GaussianMeasureSpec, phi1, phi2) -> complex:
@@ -163,9 +189,12 @@ def cylindrical_kms_mc(spec: GaussianMeasureSpec, phi1, phi2, count: int,
     lam = np.asarray(spec.eigenvalues)
     sig = float(np.sum(a2.real * a1.imag - a2.imag * a1.real))
 
-    pts = sample(spec, count, seed)
-    phase = np.exp(1j * _pairing_phases(spec, a2, pts))
-    # -i H phi1 pairs as sum_k lambda_k (Im phi1_k q_k - Re phi1_k p_k)
-    x = pts[:, : spec.n] @ (lam * a1.imag) - pts[:, spec.n:] @ (lam * a1.real)
-    vals = sig * phase + 1j * spec.beta * x * phase
-    return complex(vals.mean()), jackknife_stderr(vals)
+    # theta = <phi2, u> and beta x = beta <-i H phi1, u>, where -i H phi1 is
+    # the label -i lambda_k phi1_k.  Two matrix-vector products, not one
+    # (2n, 2) matrix product: BLAS dgemm keeps about 3 MB of buffers resident.
+    scales = _scales(spec)
+    normals = _normals(spec, count, seed)
+    cos, sin = _cis(normals @ (_pairing_coeffs(a2) * scales))
+    bx = normals @ (_pairing_coeffs(-1j * (spec.beta * lam * a1)) * scales)
+    # (sigma + i beta x) e^{i theta}, real and imaginary parts
+    return _mean_and_stderr(np.stack([sig * cos - bx * sin, sig * sin + bx * cos]))

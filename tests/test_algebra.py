@@ -142,6 +142,22 @@ def test_norm_bounds_survive_huge_coefficients():
     assert math.isfinite(lo) and lo > 1e200
 
 
+def test_coefficient_modulus_beyond_float_range():
+    # finite parts, |c| = 2.4e308: construction and products keep the term
+    huge = complex(1.7e308, 1.7e308)
+    a = WeylElement(0.0, 1, {(0j,): huge})
+    assert a.terms == {(0j,): huge}
+    b = alg.weyl((1j,), 0.0, coeff=1e154) * alg.weyl((0j,), 0.0, coeff=huge / 1e154)
+    assert math.isfinite(b.terms[(1j,)].real)
+    for el in (a, b):
+        with pytest.raises(DomainViolation, match="float range"):
+            alg.norm_bounds(el)
+    # every modulus finite, their sum not
+    c = alg.weyl((1j,), 0.0, coeff=1.7e308) + alg.weyl((0j,), 0.0, coeff=1.7e308)
+    with pytest.raises(DomainViolation, match="float range"):
+        alg.norm_bounds(c)
+
+
 def test_json_round_trip():
     a = alg.weyl((1 + 2j, -0.5j), 0.25, coeff=0.5 - 0.25j) \
         + alg.unit(2, 0.25).scale(1.5)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from weylgas import berezin as bz
-from weylgas.errors import DomainViolation
+from weylgas.errors import DomainViolation, QuadratureFailure
 
 
 def test_coherent_state_normalization():
@@ -172,6 +172,24 @@ def test_closed_form_matches_identity_on_random_elements():
 def test_matrix_element_underflows_to_zero():
     psi = bz.coherent_state([0.0], [0.0], 1.0)
     assert bz.berezin_matrix_element([60.0], [0.0], psi, psi, 1.0) == 0.0
+
+
+def test_exponent_overflowing_to_minus_inf_gives_zero():
+    # lam = 2^1023: lam^2 overflows, the exponent is -inf + nan i
+    psi = bz.coherent_state([0.0], [0.0], 1.0)
+    assert bz.berezin_matrix_element([2.0 ** 1023], [0.0], psi, psi, 1.0) == 0.0
+    assert bz.schrodinger_matrix_element([1e160], [0.0], psi, psi, 1.0) == 0.0
+    symbol = bz.TrigPolySymbol([1, 1], [(2 ** 1022, 0), (-2 ** 1022, 0)])
+    assert bz.berezin_positivity(symbol, psi, 1.0) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_nan_exponent_still_raises():
+    # centres at 1e160: the exponent's terms overflow with opposite signs
+    far = bz.WavePacket(amp=1.0, centers=(1e160,), sigmas=(1.0,), waves=(0.0,))
+    with pytest.raises(QuadratureFailure):
+        bz.berezin_matrix_element([0.0], [0.0], far, far, 1.0)
+    with pytest.raises(QuadratureFailure):
+        bz.overlap(far, far)
 
 
 def test_positivity_matches_coherent_husimi_closed_form():

@@ -88,3 +88,58 @@ def test_shape_validation():
     for seed in (-1, 2 ** 128):
         with pytest.raises(DomainViolation):
             mc.sample(SPEC, 10, seed=seed)
+
+
+def test_jackknife_real_columns_match_complex_samples():
+    rng = np.random.default_rng(4)
+    re, im = rng.normal(size=300), rng.normal(size=300)
+    assert mc.jackknife_stderr(np.stack([re, im], axis=-1)) == pytest.approx(
+        mc.jackknife_stderr(re + 1j * im), rel=1e-14)
+
+
+SPEC3 = mc.GaussianMeasureSpec(eigenvalues=(0.5, 1.3, 2.0), beta=0.8)
+PHI1 = [0.4 - 0.2j, 0.3j, -0.5]
+PHI2 = [0.6 + 0.1j, -0.3, 0.2 - 0.4j]
+
+
+def _pairing(spec, phi, pts):
+    phi = np.asarray(phi, dtype=complex)
+    return pts[:, : spec.n] @ phi.real + pts[:, spec.n:] @ phi.imag
+
+
+def test_characteristic_mc_is_the_mean_over_sample():
+    est, se = mc.characteristic_mc(SPEC3, PHI2, 5000, seed=21)
+    vals = np.exp(1j * _pairing(SPEC3, PHI2, mc.sample(SPEC3, 5000, seed=21)))
+    assert est == pytest.approx(vals.mean(), rel=1e-12)
+    assert se == pytest.approx(mc.jackknife_stderr(vals), rel=1e-12)
+
+
+def test_cylindrical_kms_mc_is_the_mean_over_sample():
+    resid, se = mc.cylindrical_kms_mc(SPEC3, PHI1, PHI2, 5000, seed=22)
+    pts = mc.sample(SPEC3, 5000, seed=22)
+    a1 = np.asarray(PHI1, dtype=complex)
+    sig = float(np.sum(np.imag(np.conj(np.asarray(PHI2)) * a1)))
+    # -i H phi1 is the label -i lambda_k phi1_k
+    x = _pairing(SPEC3, -1j * np.asarray(SPEC3.eigenvalues) * a1, pts)
+    vals = (sig + 1j * SPEC3.beta * x) * np.exp(1j * _pairing(SPEC3, PHI2, pts))
+    assert abs(resid - vals.mean()) <= 1e-12 * np.abs(vals).mean()
+    assert se == pytest.approx(mc.jackknife_stderr(vals), rel=1e-12)
+
+
+def test_estimators_repeat_bit_for_bit():
+    assert mc.characteristic_mc(SPEC3, PHI2, 3000, seed=5) == \
+        mc.characteristic_mc(SPEC3, PHI2, 3000, seed=5)
+    assert mc.cylindrical_kms_mc(SPEC3, PHI1, PHI2, 3000, seed=5) == \
+        mc.cylindrical_kms_mc(SPEC3, PHI1, PHI2, 3000, seed=5)
+    assert mc.characteristic_mc(SPEC3, PHI2, 3000, seed=5) != \
+        mc.characteristic_mc(SPEC3, PHI2, 3000, seed=6)
+
+
+def test_error_bars_cover_the_closed_forms_over_many_seeds():
+    # z < 4 fails with probability 6e-5 per estimate; the seeds are fixed
+    theta = mc.closed_form_theta(SPEC3, PHI2)
+    for seed in range(200):
+        est, se = mc.characteristic_mc(SPEC3, PHI2, 2000, seed)
+        assert abs(est - theta) / se < 4.0, seed
+        resid, se = mc.cylindrical_kms_mc(SPEC3, PHI1, PHI2, 2000, seed)
+        assert abs(resid) / se < 4.0, seed
