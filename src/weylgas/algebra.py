@@ -411,7 +411,11 @@ def elements_close(a: WeylElement, b: WeylElement, atol: float = 1e-12) -> bool:
     if a.hbar != b.hbar or a.dim != b.dim:
         return False
     labels = set(a.terms) | set(b.terms)
-    return all(abs(a.terms.get(l, 0.0) - b.terms.get(l, 0.0)) <= atol for l in labels)
+    try:
+        return all(abs(a.terms.get(l, 0.0) - b.terms.get(l, 0.0)) <= atol for l in labels)
+    except OverflowError:
+        # a difference whose modulus leaves the float range exceeds atol
+        return False
 
 
 # -- JSON wire format -------------------------------------------------------

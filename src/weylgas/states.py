@@ -37,12 +37,15 @@ validated, and its c and r fixed, once at construction.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfc
+from scipy.special import erfc, zeta
 
 from . import spectrum as sp
 from . import testfn as tf
@@ -227,6 +230,56 @@ def _box_weight(spec: StateSpec, e):
     return 1.0 / (spec.beta * (e - spec.mu))
 
 
+# Box expectations repeat a test function's geometry on a box while beta, h
+# and mu change.  The axis tables and term-pair shell spectra depend on the
+# geometry and the box alone, so they are kept within this many bytes, least
+# recently used dropped first.  A complex spectrum at sp._MAX_SHELLS shells
+# takes 64 MiB.
+_BOX_CACHE_BYTES = 1 << 26
+
+
+class _BoxCache:
+    """A least-recently-used map whose entries' byte sizes sum to at most
+    ``_BOX_CACHE_BYTES``; a value larger than that is returned, not kept."""
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, nbytes)
+        self._nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key, make: Callable[[], tuple]):
+        """The value kept under ``key``, else the value of ``make()``, which
+        returns (value, nbytes), kept when it fits the budget."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+        value, nbytes = make()
+        with self._lock:
+            if nbytes <= _BOX_CACHE_BYTES and key not in self._entries:
+                self._entries[key] = (value, nbytes)
+                self._nbytes += nbytes
+                while self._nbytes > _BOX_CACHE_BYTES:
+                    _, (_, dropped) = self._entries.popitem(last=False)
+                    self._nbytes -= dropped
+        return value
+
+
+_box_cache = _BoxCache()
+
+
+def _box_axis(center: float, sigma: float, wave: float, L: float, cutoff: int):
+    """(overlap table of length cutoff, its squared norm, the certified bound
+    on its squared tail beyond the cutoff) for one axis, cached."""
+    def make():
+        table = tf.axis_sine_overlaps(center, sigma, wave, L, cutoff)
+        table.flags.writeable = False
+        bound = _axis_tail_sq_bound(center, sigma, wave, L, cutoff)
+        return (table, float(np.sum(np.abs(table) ** 2)), bound), table.nbytes
+    return _box_cache.get(("axis", center, sigma, wave, L, cutoff), make)
+
+
 def _box_quadform(f: tf.TestFunction, spec: StateSpec,
                   tail_tol: float) -> tuple[float, float]:
     """B(f, f) = sum_n |<psi_n, f>|^2 F(E_n) over [1..cutoff]^nu plus a
@@ -235,8 +288,11 @@ def _box_quadform(f: tf.TestFunction, spec: StateSpec,
     <psi_n, f> = L^{-nu/2} sum_t amp_t prod_i o_ti(n_i) with the axis
     overlaps o of ``axis_sine_overlaps``, and E_n = kappa m depends on n only
     through the shell m = |n|^2, so each term pair (s, t) contributes
-    sum_m F(kappa m) S_st(m) with S_st(m) the sum over |n|^2 = m of
-    prod_i conj(o_si(n_i)) o_ti(n_i) (``spectrum._shell_sums``).
+    S_st @ F(kappa shells) with S_st(m) the sum over |n|^2 = m of
+    prod_i conj(o_si(n_i)) o_ti(n_i) (``spectrum._shell_spectrum``).  The
+    spectra, axis tables and axis tail bounds depend only on the terms'
+    (center, sigma, wave) per axis, L and the cutoff, and are cached under
+    those; F is evaluated once per occupied shell and call.
 
     The tail bounds, per term, the overlap-squared sum outside the cutoff
     box by prod_i (|o_ti|^2 + b_ti) - prod_i |o_ti|^2 with b_ti the axis
@@ -247,25 +303,13 @@ def _box_quadform(f: tf.TestFunction, spec: StateSpec,
     box = spec.box
     if f.nu != box.nu:
         raise DimensionMismatch(f"test function nu={f.nu} on a nu={box.nu} box")
-    C = box.cutoff
-    L = box.L
+    C, L, nu = box.cutoff, box.L, box.nu
     k = sp.kappa(L)
+    # refuses an oversized lattice before any axis table is built
+    shells, _ = sp._shell_table(C, nu)
 
-    # per distinct (center, sigma, wave) axis: overlap vector (length C),
-    # its squared norm and the certified bound on the squared tail beyond C
-    axes = {}
-
-    def axis(center, sigma, wave):
-        key = (center, sigma, wave)
-        if key not in axes:
-            table = tf.axis_sine_overlaps(center, sigma, wave, L, C)
-            axes[key] = (table, float(np.sum(np.abs(table) ** 2)),
-                         _axis_tail_sq_bound(center, sigma, wave, L, C))
-        return axes[key]
-
-    per_term = [[axis(t.center[i], t.sigma, t.wave[i]) for i in range(f.nu)]
-                for t in f.terms]
-    tables = [[table for table, _, _ in term] for term in per_term]
+    geoms = [tuple((t.center[i], t.sigma, t.wave[i]) for i in range(nu)) for t in f.terms]
+    per_term = [[_box_axis(*axis, L, C) for axis in geom] for geom in geoms]
 
     # certified tail of the overlap-squared sum (Cauchy-Schwarz over terms);
     # F decreases in E, so its value at the lowest energy beyond the cutoff
@@ -273,24 +317,30 @@ def _box_quadform(f: tf.TestFunction, spec: StateSpec,
     n_terms = len(f.terms)
     tail_sq = sum(abs(t.amp) ** 2 * sp._product_excess([(sq, bound) for _, sq, bound in term])
                   for t, term in zip(f.terms, per_term))
-    e_tail = k * ((C + 1) ** 2 + box.nu - 1)
-    tail = float(_box_weight(spec, e_tail) * L ** (-box.nu) * n_terms * tail_sq)
+    e_tail = k * ((C + 1) ** 2 + nu - 1)
+    tail = float(_box_weight(spec, e_tail) * L ** (-nu) * n_terms * tail_sq)
     if not math.isfinite(tail) or tail > tail_tol:
         raise TailToleranceExceeded(
             f"certified box tail {tail:.3e} exceeds tolerance {tail_tol:.3e} "
             f"at cutoff {C}")
 
-    # B = sum_{s,t} conj(amp_s) amp_t sum_n prod_i conj(o_si(n_i)) o_ti(n_i) F(E_n);
-    # F is real, so the (t, s) term is the conjugate of the (s, t) term
-    pairs = [(s, t) for s in range(n_terms) for t in range(s, n_terms)]
-    sums = sp._shell_sums(
-        [[tables[s][i].conjugate() * tables[t][i] for i in range(box.nu)] for s, t in pairs],
-        lambda m: _box_weight(spec, k * m)) if pairs else []
+    # B = sum_{s,t} conj(amp_s) amp_t S_st @ F; F is real, so the (t, s) term
+    # is the conjugate of the (s, t) term
+    fvals = _box_weight(spec, k * shells)
     total = 0.0
-    for (s, t), v in zip(pairs, sums):
-        term = (f.terms[s].amp.conjugate() * f.terms[t].amp * v).real
-        total += term if s == t else 2.0 * term
-    return L ** (-box.nu) * total, tail
+    for s in range(n_terms):
+        for t in range(s, n_terms):
+            def make():
+                pairs = zip(per_term[s], per_term[t])
+                # the diagonal spectrum is real
+                qs = [(a.conjugate() * b).real if geoms[s] == geoms[t] else a.conjugate() * b
+                      for (a, _, _), (b, _, _) in pairs]
+                spectrum = sp._shell_spectrum(qs)
+                return spectrum, spectrum.nbytes
+            spectrum = _box_cache.get(("pair", geoms[s], geoms[t], L, C), make)
+            term = (f.terms[s].amp.conjugate() * f.terms[t].amp * (spectrum @ fvals)).real
+            total += term if s == t else 2.0 * term
+    return L ** (-nu) * total, tail
 
 
 # -- the covariance form B -------------------------------------------------------
@@ -442,16 +492,25 @@ def _bose_integral(bh: float, mu: float, nu: int) -> float:
 
 
 def critical_density(beta: float, h: float, nu: int = 3) -> float:
-    """rho_c(beta, h) = integral d^nu p/(2 pi)^nu 1/(e^{beta h p^2/2} - 1),
-    by radial quadrature; finite only for nu >= 3.
+    """rho_c(beta, h) = integral d^nu p/(2 pi)^nu 1/(e^{beta h p^2/2} - 1)
+    = zeta(nu/2) (2 pi beta h)^{-nu/2}, finite only for nu >= 3.
 
-    Scaling: rho_c(beta, h) = h^{-nu/2} rho_c(beta, 1).
+    The closed form expands the Bose factor as sum_{k >= 1} e^{-k beta h p^2/2}
+    and integrates each Gaussian.  DomainViolation is raised when the value
+    leaves the normal float range.
     """
     if nu < 3:
         raise DimensionTooLow(f"critical density diverges for nu = {nu} < 3")
     if not (0.0 < beta < math.inf and 0.0 < h < math.inf):
         raise DomainViolation(f"beta and h must be positive and finite, got {beta}, {h}")
-    return _bose_integral(beta * h, 0.0, nu)
+    try:
+        value = float(zeta(nu / 2.0)) * (2.0 * math.pi * beta * h) ** (-nu / 2.0)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainViolation(
+            f"the critical density leaves the float range at beta h = {beta * h}, nu = {nu}")
+    return value
 
 
 def quantum_density(spec: StateSpec) -> float:

@@ -156,6 +156,9 @@ def test_coefficient_modulus_beyond_float_range():
     c = alg.weyl((1j,), 0.0, coeff=1.7e308) + alg.weyl((0j,), 0.0, coeff=1.7e308)
     with pytest.raises(DomainViolation, match="float range"):
         alg.norm_bounds(c)
+    # a difference of modulus beyond the float range is not close
+    assert not alg.elements_close(a, WeylElement(0.0, 1, {}))
+    assert alg.elements_close(a, a)
 
 
 def test_json_round_trip():

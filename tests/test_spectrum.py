@@ -173,18 +173,20 @@ def test_shell_tables_match_brute_force(nu, cutoff):
     assert np.array_equal(shells, np.flatnonzero(counts))
     assert np.array_equal(mult, counts[shells.astype(int)])
     assert not shells.flags.writeable and not mult.flags.writeable
-    # weighted shell sums, with the weight tabulated from the ground shell up
+    # the shell spectrum of complex axis vectors against binning the full grid
     rng = np.random.default_rng(nu)
     qs = [rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff) for _ in range(nu)]
-    lowest = []
-
-    def weight(shell):
-        lowest.append(shell.min())
-        return 1.0 / (shell - nu + 0.5)
-
-    brute = np.sum(functools.reduce(np.multiply.outer, qs).ravel() / (m - nu + 0.5))
-    assert sp._shell_sums([qs], weight)[0] == pytest.approx(brute, rel=1e-13)
-    assert lowest == [nu]
+    prod = functools.reduce(np.multiply.outer, qs).ravel()
+    brute = np.bincount(m, prod.real) + 1j * np.bincount(m, prod.imag)
+    spectrum = sp._shell_spectrum(qs)
+    assert spectrum.dtype == complex and not spectrum.flags.writeable
+    occupied = shells.astype(int)
+    scale = np.bincount(m, np.abs(prod))[occupied]
+    assert np.all(np.abs(spectrum - brute[occupied]) <= 1e-14 * scale)
+    # real axis vectors give a float64 spectrum
+    real = sp._shell_spectrum([np.abs(q) ** 2 for q in qs])
+    assert real.dtype == np.float64 and not real.flags.writeable
+    assert np.allclose(real, np.bincount(m, np.abs(prod) ** 2)[occupied], rtol=1e-13, atol=0.0)
 
 
 def test_oversized_shell_tables_are_refused():

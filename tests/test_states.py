@@ -160,8 +160,18 @@ def test_critical_density_series_and_scaling():
     # h-scaling
     assert st.critical_density(1.0, 0.01, 3) == pytest.approx(
         val * 0.01 ** -1.5, rel=1e-10)
+    # zeta(200) (2 pi)^{-200} ~ 2.3e-160 lies in the float range
+    assert st.critical_density(1.0, 1.0, 400) == pytest.approx(
+        zeta(200.0) * (2 * math.pi) ** -200, rel=1e-13)
     with pytest.raises(DimensionTooLow):
         st.critical_density(1.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("nu", [3, 4, 5, 6, 7])
+def test_critical_density_closed_form_matches_radial_quadrature(nu):
+    for bh in np.geomspace(1e-3, 1e3, 13):
+        assert st.critical_density(float(bh), 1.0, nu) == pytest.approx(
+            st._bose_integral(float(bh), 0.0, nu), rel=1e-12)
 
 
 def test_quantum_density_monotone_in_mu():
@@ -273,9 +283,11 @@ def test_infinite_alpha_stays_legal():
 
 @pytest.mark.parametrize("beta, h, nu", [(math.nan, 1.0, 3), (1.0, math.nan, 3),
                                          (math.inf, 1.0, 3), (1.0, math.inf, 3),
-                                         (1e-200, 1e-200, 3), (1.0, 1.0, 400)])
+                                         (1e-200, 1e-200, 3), (1e-300, 1.0, 3),
+                                         (1e+300, 1.0, 400)])
 def test_critical_density_rejects_out_of_range(beta, h, nu):
-    # beta h = 1e-400 underflows; at nu = 400 Gamma(nu/2) overflows
+    # beta h = 1e-400 underflows; (2 pi beta h)^{-nu/2} overflows at
+    # beta h = 1e-300 and underflows at beta h = 1e300, nu = 400
     with pytest.raises(DomainViolation):
         st.critical_density(beta, h, nu)
 
@@ -402,35 +414,106 @@ def test_quasi_free_two_point_fixes_weyl_expectation(spec, f):
     assert st.weyl_expectation(spec, f) == pytest.approx(math.exp(-two.real / 2.0), rel=1e-13)
 
 
-@pytest.mark.parametrize("nu", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["QuantumBoxGibbs", "ClassicalBoxGibbs"])
-@pytest.mark.parametrize("gap", [1e-6, 0.5])
-def test_box_quadform_matches_direct_lattice_sum(nu, kind, gap):
-    # three complex terms with momenta against every mode of the cutoff box;
-    # gap = 1e-6 puts mu at E_0 (1 - 1e-6)
-    L, C = 2.0, 40
-    f = tf.gaussian(0.3 + 0.1j, (0.2, -0.1, 0.3)[:nu], 0.5, (0.8, -0.4, 0.2)[:nu]) \
-        + tf.gaussian(-0.1j, (-0.3, 0.1, 0.0)[:nu], 0.45, (0.0, 1.1, -0.7)[:nu]) \
-        + tf.gaussian(0.2, (0.0, 0.4, -0.2)[:nu], 0.6)
-    e0 = sp.ground_energy(L, nu)
-    mu = e0 * (1 - gap)
-    h = 0.7 if kind == "QuantumBoxGibbs" else 0.0
-    spec = st.StateSpec(kind=kind, beta=1.3, h=h, mu=mu, nu=nu,
-                        box=sp.BoxSpectrum(L=L, nu=nu, cutoff=C))
+def _three_terms(nu, amps=(0.3 + 0.1j, -0.1j, 0.2)):
+    """Three complex Gaussian terms, two with momenta."""
+    return tf.gaussian(amps[0], (0.2, -0.1, 0.3)[:nu], 0.5, (0.8, -0.4, 0.2)[:nu]) \
+        + tf.gaussian(amps[1], (-0.3, 0.1, 0.0)[:nu], 0.45, (0.0, 1.1, -0.7)[:nu]) \
+        + tf.gaussian(amps[2], (0.0, 0.4, -0.2)[:nu], 0.6)
+
+
+def _direct_box_quadform(f, spec):
+    """B(f, f) as a sum over every mode of the cutoff box."""
+    nu, L, C = spec.box.nu, spec.box.L, spec.box.cutoff
     axes = "abc"[:nu]
     coeff = sum(t.amp * np.einsum(",".join(axes) + "->" + axes, *(
         tf.axis_sine_overlaps(t.center[i], t.sigma, t.wave[i], L, C) for i in range(nu)))
         for t in f.terms)
     n2 = np.arange(1, C + 1, dtype=float) ** 2
     energy = sp.kappa(L) * functools.reduce(np.add.outer, [n2] * nu)
-    if h:
-        x = np.exp(-1.3 * h * (energy - mu))
+    if spec.h:
+        x = np.exp(-spec.beta * spec.h * (energy - spec.mu))
         weight = (1 + x) / (1 - x)
     else:
-        weight = 1.0 / (1.3 * (energy - mu))
-    direct = L ** -nu * np.einsum(axes + "," + axes + "->", np.abs(coeff) ** 2, weight)
-    value, _ = st._box_quadform(f, spec, math.inf)
-    assert value == pytest.approx(direct, rel=1e-12)
+        weight = 1.0 / (spec.beta * (energy - spec.mu))
+    return L ** -nu * np.einsum(axes + "," + axes + "->", np.abs(coeff) ** 2, weight)
+
+
+_KINDS = ("QuantumBoxGibbs", "ClassicalBoxGibbs")
+
+
+@pytest.mark.parametrize("nu, kind, gap, warm", [
+    pytest.param(nu, kind, gap, None, id=f"{gap}-{kind}-{nu}")
+    for nu in (1, 2, 3) for kind in _KINDS for gap in (1e-6, 0.5)] + [
+    pytest.param(nu, kind, 0.5, warm, id=f"0.5-{kind}-{nu}-warm-{warm}")
+    for nu in (1, 2, 3) for kind in _KINDS for warm in ("amps", "cutoff", "state")])
+def test_box_quadform_matches_direct_lattice_sum(monkeypatch, nu, kind, gap, warm):
+    # three complex terms with momenta against every mode of the cutoff box;
+    # gap = 1e-6 puts mu at E_0 (1 - 1e-6).  ``warm`` first fills the cache
+    # with the same geometry at other amplitudes, the same L at another
+    # cutoff, or another (beta, h, mu)
+    L, C = 2.0, 40
+    f = _three_terms(nu)
+    e0 = sp.ground_energy(L, nu)
+    h = 0.7 if kind == "QuantumBoxGibbs" else 0.0
+
+    def spec(beta=1.3, h=h, mu=e0 * (1 - gap), cutoff=C):
+        return st.StateSpec(kind=kind, beta=beta, h=h, mu=mu, nu=nu,
+                            box=sp.BoxSpectrum(L=L, nu=nu, cutoff=cutoff))
+
+    monkeypatch.setattr(st, "_box_cache", st._BoxCache())
+    if warm == "amps":
+        st._box_quadform(_three_terms(nu, (-0.5j, 0.25 - 0.3j, 1.1)), spec(), math.inf)
+    elif warm == "cutoff":
+        st._box_quadform(f, spec(cutoff=32), math.inf)
+    elif warm == "state":
+        st._box_quadform(f, spec(beta=0.6, h=h / 2, mu=e0 - 0.8), math.inf)
+    value, _ = st._box_quadform(f, spec(), math.inf)
+    assert value == pytest.approx(_direct_box_quadform(f, spec()), rel=1e-12)
+
+
+def test_box_quadform_reuses_geometry_across_states(monkeypatch):
+    # a new beta, h or mu on the same test function and box redoes no
+    # overlap or spectrum work
+    calls = []
+    for module, name in ((tf, "axis_sine_overlaps"), (sp, "_shell_spectrum")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(a) or real(*a))
+    monkeypatch.setattr(st, "_box_cache", st._BoxCache())
+    f = _three_terms(3)
+    box = sp.BoxSpectrum(L=2.0, nu=3, cutoff=40)
+    st.weyl_expectation(cbox(box=box), f, tail_tol=math.inf)
+    # nine distinct axes and six term pairs
+    first = len(calls)
+    assert first == 9 + 6
+    for spec in (cbox(beta=2.0, box=box), cbox(mu=-1.0, box=box), qbox(h=0.4, mu=-0.3, box=box)):
+        st.weyl_expectation(spec, f, tail_tol=math.inf)
+    assert len(calls) == first
+
+
+def test_box_spectrum_over_the_byte_budget_is_used_not_kept(monkeypatch):
+    f = tf.gaussian(0.2, (0.1, 0.0, 0.0), 0.3)
+    g = tf.gaussian(0.2, (0.0, 0.1, 0.0), 0.3)
+    spec = cbox()
+
+    def pair(fn):
+        geom = tuple((c, 0.3, 0.0) for c in fn.terms[0].center)
+        return ("pair", geom, geom, BOX.L, BOX.cutoff)
+
+    monkeypatch.setattr(st, "_box_cache", st._BoxCache())
+    want, _ = st._box_quadform(f, spec, math.inf)
+    assert pair(f) in st._box_cache._entries
+    spectrum_bytes = sp._shell_spectrum([np.ones(BOX.cutoff)] * 3).nbytes
+    # room for the two axis tables but not the spectrum
+    monkeypatch.setattr(st, "_BOX_CACHE_BYTES", spectrum_bytes - 1)
+    monkeypatch.setattr(st, "_box_cache", st._BoxCache())
+    assert st._box_quadform(f, spec, math.inf)[0] == want
+    assert pair(f) not in st._box_cache._entries and len(st._box_cache._entries) == 2
+    # room for one spectrum: g's drops f's, the least recently used
+    monkeypatch.setattr(st, "_BOX_CACHE_BYTES", spectrum_bytes + 2000)
+    st._box_quadform(f, spec, math.inf)
+    st._box_quadform(g, spec, math.inf)
+    assert pair(g) in st._box_cache._entries and pair(f) not in st._box_cache._entries
+    assert st._box_cache._nbytes <= st._BOX_CACHE_BYTES
 
 
 def test_box_expectation_of_the_zero_function_is_one():
