@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="non-surjectivity witness sequence")
     p.add_argument("--f", required=True, help="label JSON [[re,im],...]")
     p.add_argument("--h", type=float, default=1.0)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=int, default=10, help="number of terms, 2 to 1000")
     p.add_argument("--out", help="CSV path")
     p.set_defaults(run=_cmd_witness)
 

@@ -100,6 +100,12 @@ def rieffel_profile(a: alg.WeylElement, h_grid: Sequence[float]) -> list[tuple[f
     return out
 
 
+# Each partial sum is measured afresh, so the witness costs O(n_max^2): 1000
+# terms take about a second.  For h > 0 and |f| = 1 the preimages already
+# leave the float range at n = 54.
+_MAX_WITNESS_TERMS = 1000
+
+
 def nonsurjectivity_witness(f: Sequence[complex], n_max: int, h: float) -> dict:
     """Partial-sum norms of the series sum_n n^{-2} W_h(n f) and of its
     claimed classical preimage under Q_h.
@@ -109,8 +115,9 @@ def nonsurjectivity_witness(f: Sequence[complex], n_max: int, h: float) -> dict:
     the quantization inflates the n-th coefficient by exp(h n^2 |f|^2 / 4).
     For h = 0 the two sequences coincide.
     """
-    if n_max < 2:
-        raise DomainViolation(f"witness needs n_max >= 2, got {n_max}")
+    if not 2 <= n_max <= _MAX_WITNESS_TERMS:
+        raise DomainViolation(
+            f"witness needs 2 <= n_max <= {_MAX_WITNESS_TERMS}, got {n_max}")
     fvec = tuple(complex(z) for z in f)
     if all(z == 0 for z in fvec):
         raise DomainViolation("witness requires a nonzero label")

@@ -266,6 +266,7 @@ _FN = json.dumps({"nu": 3, "terms": [{"amp": [0.1, 0.0], "center": [0, 0, 0],
     ["trace-check", "--s", "1", "--L", "1", "--nu", _HUGE_INT],
     ["compute-state", "--state", '{"kind": "QuantumBoxGibbs", "beta": 1, "mu": -1, "h": 1, '
      '"box": {"L": 2, "nu": 3, "cutoff": %s}}' % _HUGE_INT, "--fn", _FN],
+    ["witness", "--f", "[[1,0]]", "--h", "0", "--n-max", _HUGE_INT],
 ])
 def test_bad_inputs_exit_two_without_traceback(capsys, argv):
     code = cli.main(argv)

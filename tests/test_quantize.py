@@ -168,3 +168,6 @@ def test_bad_witness_and_profile_inputs_are_domain_violations():
     with pytest.raises(DomainViolation):
         qz.nonsurjectivity_witness((1 + 0j,), 54, 1.0)
     assert len(qz.nonsurjectivity_witness((1 + 0j,), 53, 1.0)["preimage_l2"]) == 53
+    # at h = 0 nothing overflows, so only the term bound stops a long series
+    with pytest.raises(DomainViolation):
+        qz.nonsurjectivity_witness((1 + 0j,), qz._MAX_WITNESS_TERMS + 1, 0.0)
