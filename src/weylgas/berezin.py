@@ -19,7 +19,7 @@ form.  With phi and psi axes (c_k, s_k, w_k) and d_k = s_k^2 + h, the axis
 integrand is a constant times exp(-x.A x/2 + b.x + c) in x = (q, p), with
 A_qq = 1/d_1 + 1/d_2, A_pp = (s_1^2/d_1 + s_2^2/d_2)/h and
 A_qp = i (s_2^2 - s_1^2)/(d_1 d_2); ``_axis_gaussian`` reads b and c off
-``_axis_overlap``.  Re A is diagonal and positive definite, so the axis
+the product of the two coherent-state overlaps.  Re A is diagonal and positive definite, so the axis
 integral is 2 pi/sqrt(det A) exp(b.A^{-1} b/2 + c).  det A =
 A_qq A_pp + |A_qp|^2 is real and positive, and it is the product of the
 eigenvalues of A, whose real parts are positive; the product of their
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, QuadratureFailure
+from .testfn import _axis_overlap
 
 __all__ = [
     "WavePacket", "coherent_state", "norm_sq", "overlap", "weyl_action",
@@ -110,20 +111,6 @@ def norm_sq(psi: WavePacket) -> float:
     for s in psi.sigmas:
         out *= s * math.sqrt(math.pi)
     return out
-
-
-def _axis_overlap(c1, s1, w1, c2, s2, w2):
-    """int conj(axis1) axis2 dx in closed form."""
-    v1, v2 = s1 * s1, s2 * s2
-    alpha = 1.0 / (2.0 * v1) + 1.0 / (2.0 * v2)
-    beta = c1 / v1 + c2 / v2 + 1j * (w2 - w1)
-    gamma = -c1 * c1 / (2.0 * v1) - c2 * c2 / (2.0 * v2)
-    expo = beta * beta / (4.0 * alpha) + gamma
-    if expo.real == -math.inf:  # e^expo is 0 whatever its (NaN) phase
-        return 0j
-    if not cmath.isfinite(expo):
-        raise QuadratureFailure("the overlap exponent leaves the float range")
-    return np.sqrt(np.pi / alpha) * np.exp(expo)
 
 
 def overlap(phi: WavePacket, psi: WavePacket) -> complex:

@@ -153,28 +153,13 @@ def _cmd_limit_scan(args) -> dict:
         return {"rows": len(out), "errs": errs,
                 "monotone": all(a > b for a, b in zip(errs, errs[1:]))}
 
-    # semiclassical: derive the quantum family from the classical target
     if args.state is None:
         raise InvalidSpec("semiclassical mode needs --state")
     spec0 = st.spec_from_json(_parse_json(args.state, "--state"))
     hs = _parse_floats(args.hs)
     if len(set(hs)) < 2:
         raise InvalidSpec(f"a slope needs at least 2 distinct values in --hs, got {args.hs!r}")
-    if spec0.kind == "ClassicalInfVol":
-        family = lambda h: st.StateSpec(kind="QuantumInfVol", beta=spec0.beta,
-                                        h=h, mu=spec0.mu, nu=spec0.nu)
-    elif spec0.kind == "ClassicalBoxGibbs":
-        family = lambda h: st.StateSpec(kind="QuantumBoxGibbs", beta=spec0.beta,
-                                        h=h, mu=spec0.mu, box=spec0.box)
-    elif spec0.kind == "ClassicalCondensate":
-        if not math.isfinite(spec0.alpha):
-            raise InvalidSpec("semiclassical scan needs finite alpha")
-        def family(h, _b=spec0.beta, _a=spec0.alpha, _nu=spec0.nu):
-            rho = st.critical_density(_b, h, _nu) + _a / h
-            return st.StateSpec(kind="QuantumCondensate", beta=_b, h=h,
-                                rho_bar=rho, nu=_nu)
-    else:
-        raise InvalidSpec("semiclassical mode needs a classical target state")
+    family = eq.quantum_family(spec0)
     out = eq.semiclassical_scan(family, spec0, fn, hs)
     if args.out:
         _write_csv(args.out, ["h", "err"], out)

@@ -37,8 +37,8 @@ from .errors import (
 
 __all__ = [
     "WeakDerivationSpec", "solve_mu_quantum", "mu_net_classical",
-    "condensate_fraction_limit", "semiclassical_scan", "thermodynamic_scan",
-    "kms_residual",
+    "condensate_fraction_limit", "quantum_family", "semiclassical_scan",
+    "thermodynamic_scan", "kms_residual",
 ]
 
 
@@ -152,6 +152,26 @@ def condensate_fraction_limit(rho_of_h: Callable[[float], float], beta: float,
                 f"rho({h}) = {rho} below critical density {rc}")
         out.append((float(h), h * (rho - rc)))
     return out
+
+
+def quantum_family(spec: st.StateSpec) -> Callable[[float], st.StateSpec]:
+    """h -> the quantum StateSpec that tends to the classical ``spec`` as h -> 0:
+    the same geometry, beta and mu, or for a condensate (finite alpha only)
+    rho_bar(h) = rho_c(beta h) + alpha/h, so that h (rho_bar - rho_c) = alpha."""
+    if spec.kind == "ClassicalInfVol":
+        return lambda h: st.StateSpec(kind="QuantumInfVol", beta=spec.beta, h=h,
+                                      mu=spec.mu, nu=spec.nu)
+    if spec.kind == "ClassicalBoxGibbs":
+        return lambda h: st.StateSpec(kind="QuantumBoxGibbs", beta=spec.beta, h=h,
+                                      mu=spec.mu, box=spec.box)
+    if spec.kind == "ClassicalCondensate":
+        if not math.isfinite(spec.alpha):
+            raise InvalidSpec("a quantum family needs a finite condensate weight alpha")
+        return lambda h: st.StateSpec(
+            kind="QuantumCondensate", beta=spec.beta, h=h,
+            rho_bar=st.critical_density(spec.beta, h, spec.nu) + spec.alpha / h,
+            nu=spec.nu)
+    raise InvalidSpec(f"a quantum family needs a classical state, got {spec.kind}")
 
 
 def semiclassical_scan(spec_family: Callable[[float], st.StateSpec],

@@ -67,13 +67,6 @@ class GaussianMeasureSpec:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def to_json_dict(self) -> dict:
-        return {"eigenvalues": list(self.eigenvalues), "beta": self.beta}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GaussianMeasureSpec":
-        return cls(eigenvalues=tuple(d["eigenvalues"]), beta=float(d["beta"]))
-
 
 def _coerce_label(spec: GaussianMeasureSpec, phi) -> np.ndarray:
     arr = np.asarray(phi, dtype=complex)

@@ -55,6 +55,7 @@ from .errors import (
     DimensionTooLow,
     DomainViolation,
     InvalidSpec,
+    QuadratureFailure,
     TailToleranceExceeded,
     ValidationError,
 )
@@ -471,24 +472,41 @@ def _sphere_area(nu: int) -> float:
 
 
 def _bose_integral(bh: float, mu: float, nu: int) -> float:
-    """integral d^nu p/(2 pi)^nu 1/(e^{bh (p^2/2 - mu)} - 1) by radial quadrature."""
-    if not 0.0 < bh < math.inf:
-        raise DomainViolation(f"beta h = {bh} leaves the float range")
+    """integral d^nu p/(2 pi)^nu 1/(e^{bh (p^2/2 - mu)} - 1), radially in
+    u = p sqrt(bh): (bh)^{-nu/2} |S^{nu-1}|/(2 pi)^nu times the integral of
+    u^{nu-1}/(e^{u^2/2 + t} - 1), t = -bh mu, which depends on t and nu only.
 
-    def integrand(r):
-        arg = bh * r * r / 2.0 - bh * mu
-        if arg > 700.0:
-            return 0.0
-        return r ** (nu - 1) / np.expm1(arg)
-
-    split = 2.0 / math.sqrt(bh)
+    The integrand leaves its t = 0 form below u = sqrt(2t), so the range is
+    cut there and [sqrt(2t), 2] runs in ln u (smooth across decades of 1/u^2
+    decay at nu = 1).  DomainViolation when (bh)^{-nu/2} or the value leaves
+    the float range, QuadratureFailure when quad fails.
+    """
     try:
-        pref = _sphere_area(nu) / (2.0 * math.pi) ** nu
-        v1, _ = quad(integrand, 0.0, split, epsabs=0.0, epsrel=_RTOL, limit=300)
-        v2, _ = quad(integrand, split, np.inf, epsabs=0.0, epsrel=_RTOL, limit=300)
+        scale = bh ** (-nu / 2.0) if bh > 0.0 else math.nan
     except OverflowError:
-        raise DomainViolation(f"the Bose integral leaves the float range at nu = {nu}") from None
-    return pref * (v1 + v2)
+        scale = math.inf
+    if not sys.float_info.min <= scale < math.inf:
+        raise DomainViolation(f"(beta h)^(-nu/2) leaves the float range at beta h = {bh}")
+    t = -bh * mu
+    cut = min(math.sqrt(2.0 * t), 2.0)
+
+    def bose(u):
+        arg = u * u / 2.0 + t
+        return u ** (nu - 1) * math.exp(-arg) / -math.expm1(-arg)
+
+    parts = [(bose, 0.0, cut), (lambda y: cut * math.exp(y) * bose(cut * math.exp(y)),
+                                0.0, math.log(2.0 / cut))] if cut else [(bose, 0.0, 2.0)]
+    total = 0.0
+    for fn, lo, hi in parts + [(bose, 2.0, math.inf)]:
+        out = quad(fn, lo, hi, epsabs=0.0, epsrel=_RTOL, limit=300, full_output=1)
+        if len(out) > 3 or not math.isfinite(out[0]):
+            raise QuadratureFailure(
+                f"the Bose integral failed at beta h mu = {-t}, nu = {nu}")
+        total += out[0]
+    value = _sphere_area(nu) / (2.0 * math.pi) ** nu * scale * total
+    if not math.isfinite(value):
+        raise DomainViolation(f"the Bose integral leaves the float range at beta h = {bh}")
+    return value
 
 
 def critical_density(beta: float, h: float, nu: int = 3) -> float:

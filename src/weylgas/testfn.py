@@ -25,6 +25,7 @@ forms into one-dimensional integrals of K.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,9 +33,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import wofz
+from scipy.special import ive, roots_legendre, wofz
 
-from ._quadrules import gauss_hermite, gauss_legendre
 from .errors import (
     DimensionMismatch,
     DimensionTooLow,
@@ -164,9 +164,24 @@ def integral_of(k: TestFunction | MultiplierApplied) -> complex:
     return space_integral(k)
 
 
-def _axis_gauss_integral(alpha, beta, gamma):
-    """integral exp(-alpha x^2 + beta x + gamma) dx, Re alpha > 0."""
-    return np.sqrt(np.pi / alpha) * np.exp(beta * beta / (4.0 * alpha) + gamma)
+def _axis_overlap(c1, s1, w1, c2, s2, w2) -> complex:
+    """integral conj(e^{i w1 x} e^{-(x-c1)^2/(2 s1^2)}) e^{i w2 x} e^{-(x-c2)^2/(2 s2^2)} dx
+    = s1 s2 sqrt(2 pi/v) exp(-(c2-c1)^2/(2v) - (w2-w1)^2 s1^2 s2^2/(2v) + i (w2-w1) m)
+    with v = s1^2 + s2^2 (sqrt(v) by hypot) and m = (s2^2 c1 + s1^2 c2)/v.
+
+    No exponent term grows with the centres, so far packets keep full
+    accuracy.  An exponent with real part -inf gives 0 (its phase may be
+    NaN); any other non-finite one raises QuadratureFailure.
+    """
+    root_v = math.hypot(s1, s2)
+    r1, r2 = s1 / root_v, s2 / root_v
+    dc, dw = (c2 - c1) / root_v, (w2 - w1) * s1 * r2
+    expo = complex(-0.5 * (dc * dc + dw * dw), (w2 - w1) * (c1 + r1 * r1 * (c2 - c1)))
+    if expo.real == -math.inf:
+        return 0j
+    if not cmath.isfinite(expo):
+        raise QuadratureFailure("the overlap exponent leaves the float range")
+    return math.sqrt(2.0 * math.pi) * s1 * r2 * cmath.exp(expo)
 
 
 def inner_product(f: TestFunction, g: TestFunction) -> complex:
@@ -178,11 +193,8 @@ def inner_product(f: TestFunction, g: TestFunction) -> complex:
         for t in g.terms:
             val = s.amp.conjugate() * t.amp
             for i in range(f.nu):
-                a = 1.0 / (2 * s.sigma ** 2) + 1.0 / (2 * t.sigma ** 2)
-                b = s.center[i] / s.sigma ** 2 + t.center[i] / t.sigma ** 2 \
-                    + 1j * (t.wave[i] - s.wave[i])
-                c = -s.center[i] ** 2 / (2 * s.sigma ** 2) - t.center[i] ** 2 / (2 * t.sigma ** 2)
-                val *= _axis_gauss_integral(a, complex(b), c)
+                val *= _axis_overlap(s.center[i], s.sigma, s.wave[i],
+                                     t.center[i], t.sigma, t.wave[i])
             total += val
     return complex(total)
 
@@ -293,61 +305,69 @@ def resolvent_pair(f: TestFunction, g: TestFunction, c: float) -> complex:
                   + _quad_complex(integrand, split, np.inf, real=real))
 
 
-def _coth_defect(s):
-    """phi(s) = coth(s/2) - 2/s, analytic at 0, -> 1 as s -> inf."""
-    s = np.asarray(s, dtype=float)
-    small = s < 1e-3
-    safe = np.where(small, 1.0, s)
-    direct = 1.0 / np.tanh(safe / 2.0) - 2.0 / safe
-    series = s / 6.0 - s ** 3 / 360.0
-    return np.where(small, series, direct)
+# phi(s) = sum_{n >= 1} 2 B_{2n} s^{2n-1} / (2n)!, highest power first; at
+# s < 0.5 these seven terms leave 4e-16 of phi
+_PHI_SERIES = (1 / 37362124800, -691 / 653837184000, 1 / 23950080, -1 / 604800,
+               1 / 15120, -1 / 360, 1 / 6)
+
+
+def _coth_defect(s: float) -> float:
+    """phi(s) = coth(s/2) - 2/s for s >= 0, -> 1 as s -> inf.  The direct
+    form loses 12 eps/s^2 to cancellation, so the series serves s < 0.5."""
+    if s < 0.5:
+        acc = 0.0
+        for c in _PHI_SERIES:
+            acc = acc * s * s + c
+        return s * acc
+    return 1.0 / math.tanh(s / 2.0) - 2.0 / s
 
 
 def _critical_pair_correction(pref, a0, b, c_sum, nu, beta_h, *, shift=0.0):
-    """integral of the pair Gaussian times phi(beta_h |p|^2 / 2 + shift).
+    """integral of the pair Gaussian times phi(beta_h |p|^2 / 2 + shift) d^nu p.
 
-    Radial shortcut when the pair carries no linear momentum term; otherwise
-    a tensor Gauss-Hermite rule scaled to the Gaussian width, with a
-    node-increase self-check.
+    With z^2 = b.b the angular integral of e^{r b.omega} is A(z r),
+    A(x) = (2 pi)^{nu/2} x^{1 - nu/2} I_{nu/2 - 1}(x), even and entire with
+    A(0) the sphere area, which leaves one radial quadrature.  A comes from
+    the scaled ive (a series near 0), and Re c joins the exponent
+    -a0 r^2 + Re(z) r + Re c <= 0 (Cauchy-Schwarz), so nothing overflows.
+    The absolute target is _RTOL times the integral of the modulus; a quad
+    failure or an error estimate above it raises QuadratureFailure.
     """
-    if np.max(np.abs(b)) == 0.0:
-        surf = 2.0 * np.pi ** (nu / 2.0) / math.gamma(nu / 2.0)
+    z = cmath.sqrt(complex(np.sum(b * b)))  # Re z >= 0, off the branch cut
+    order = nu / 2.0 - 1.0
+    sphere = 2.0 * math.pi ** (nu / 2.0) / math.gamma(nu / 2.0)
+    # A(x)/A(0) = sum_k (x^2/4)^k / (k! (nu/2)_k), highest power first; five
+    # terms leave below 1e-16 of it at |x| < 0.1
+    series = np.cumprod([1.0] + [1.0 / (k * (nu / 2.0 + k - 1.0)) for k in range(1, 5)])[::-1]
 
-        def radial(r):
-            return r ** (nu - 1) * np.exp(-a0 * r * r) \
-                * _coth_defect(beta_h * r * r / 2.0 + shift)
+    def integrand(r):
+        x = z * r
+        if abs(x) < 0.1:
+            ang = sphere * np.polyval(series, x * x / 4.0) * math.exp(-a0 * r * r + c_sum.real)
+        else:
+            ang = (2.0 * math.pi) ** (nu / 2.0) * x ** -order * ive(order, x) \
+                * math.exp(-a0 * r * r + x.real + c_sum.real)
+        return r ** (nu - 1) * ang * _coth_defect(beta_h * r * r / 2.0 + shift)
 
-        val, _ = quad(radial, 0.0, np.inf, epsabs=0.0, epsrel=_RTOL, limit=400)
-        return pref * np.exp(c_sum) * surf * val
+    # split at the peak of the envelope r^{nu-1} e^{-a0 r^2 + Re(z) r}
+    peak = (z.real + math.sqrt(z.real ** 2 + 8.0 * a0 * (nu - 1))) / (4.0 * a0)
+    pieces = [(0.0, peak), (peak, np.inf)] if peak > 0 else [(0.0, np.inf)]
 
-    def gh_eval(n):
-        x, w = gauss_hermite(n)
-        # per-axis transform p = m + x / sqrt(a0): residual factor is a pure
-        # oscillation exp(i Im(b) x / sqrt(a0)) times a constant
-        axis_vals = []
-        axis_pts = []
-        for i in range(nu):
-            m = b[i].real / (2.0 * a0)
-            const = -a0 * m * m + b[i] * m
-            osc = 1j * b[i].imag / math.sqrt(a0)
-            axis_vals.append(w * np.exp(const + osc * x))
-            axis_pts.append(m + x / math.sqrt(a0))
-        grids = np.meshgrid(*axis_pts, indexing="ij")
-        ssq = sum(g * g for g in grids)
-        phi = _coth_defect(beta_h * ssq / 2.0 + shift)
-        wgt = np.ones_like(phi, dtype=complex)
-        for i in range(nu):
-            shape = [1] * nu
-            shape[i] = -1
-            wgt = wgt * axis_vals[i].reshape(shape)
-        return a0 ** (-nu / 2.0) * np.sum(wgt * phi)
+    def integral(part, target, epsrel=0.0):
+        outs = [quad(lambda r: part(integrand(r)), lo, hi, epsabs=target / len(pieces),
+                     epsrel=epsrel, limit=400, full_output=1) for lo, hi in pieces]
+        val, err = sum(o[0] for o in outs), sum(o[1] for o in outs)
+        if any(len(o) > 3 for o in outs) or not err <= max(target, epsrel * abs(val)):
+            raise QuadratureFailure(f"critical thermal correction: quad error estimate "
+                                    f"{err:.3e} misses the target {target:.3e}")
+        return val
 
-    v1 = gh_eval(80)
-    v2 = gh_eval(128)
-    if not abs(v1 - v2) <= 1e-8 * max(1.0, abs(v2)):
-        raise QuadratureFailure(
-            f"critical thermal correction unstable under node increase: {v1} vs {v2}")
-    return pref * np.exp(c_sum) * v2
+    scale = integral(abs, 0.0, epsrel=1e-3)
+    if scale == 0.0:
+        return 0j
+    re = integral(lambda v: v.real, _RTOL * scale)
+    im = integral(lambda v: v.imag, _RTOL * scale)
+    return pref * cmath.exp(1j * c_sum.imag) * complex(re, im)
 
 
 def thermal_pair(f: TestFunction, g: TestFunction, beta: float, h: float,
@@ -468,7 +488,7 @@ def restricted_norm_sq(f: TestFunction, L: float) -> float:
                 width = hi - lo
                 cyc = abs(t.wave[i] - s.wave[i]) * width / (2 * math.pi)
                 npts = int(max(96, 7 * cyc + 12 * width / min(s.sigma, t.sigma) + 48))
-                x, w = gauss_legendre(npts)
+                x, w = roots_legendre(npts)
                 x = 0.5 * width * x + 0.5 * (hi + lo)
                 w = 0.5 * width * w
                 vals = np.exp(

@@ -188,8 +188,13 @@ def test_nan_exponent_still_raises():
     far = bz.WavePacket(amp=1.0, centers=(1e160,), sigmas=(1.0,), waves=(0.0,))
     with pytest.raises(QuadratureFailure):
         bz.berezin_matrix_element([0.0], [0.0], far, far, 1.0)
+    # the overlap is taken in centred form, which keeps such centres exact
+    assert bz.overlap(far, far) == pytest.approx(bz.norm_sq(far), rel=1e-15)
+    # a phase (w2 - w1) (mean centre) beyond the float range has no rounding bound
+    narrow = bz.WavePacket(amp=1.0, centers=(1e300,), sigmas=(1e-200,), waves=(0.0,))
+    moving = bz.WavePacket(amp=1.0, centers=(1e300,), sigmas=(1e-200,), waves=(1e100,))
     with pytest.raises(QuadratureFailure):
-        bz.overlap(far, far)
+        bz.overlap(narrow, moving)
 
 
 def test_positivity_matches_coherent_husimi_closed_form():

@@ -135,6 +135,17 @@ def test_box_tail_of_a_tiny_excess_is_positive(capsys):
     assert result["tail_bound"] > 0.0
 
 
+def test_semiclassical_scan_of_a_far_centred_function(capsys):
+    fn = json.dumps({"nu": 3, "terms": [{"amp": [1, 0], "center": [1e160, 0, 0],
+                                         "sigma": 1, "wave": [0, 0, 0]}]})
+    state = '{"kind":"ClassicalInfVol","beta":1,"mu":-1,"nu":3}'
+    code, out = run(capsys, "limit-scan", "--mode", "semiclassical",
+                    "--state", state, "--fn", fn)
+    assert code == 0
+    _, result = parse2(out)
+    assert result["rows"] == 4
+
+
 def test_check_kms_analytic(capsys):
     state = json.dumps({"kind": "ClassicalInfVol", "beta": 1.0, "mu": -0.5,
                         "nu": 3})

@@ -75,6 +75,26 @@ def test_condensate_fraction_limit():
             lambda h: 0.5 * st.critical_density(beta, h, nu), beta, nu, [0.1])
 
 
+def test_quantum_family_of_each_classical_kind():
+    box = sp.BoxSpectrum(L=1.0, nu=3, cutoff=24)
+    infvol = eq.quantum_family(st.StateSpec(kind="ClassicalInfVol", beta=1.3, mu=-0.4, nu=4))
+    assert infvol(0.2) == st.StateSpec(kind="QuantumInfVol", beta=1.3, h=0.2, mu=-0.4, nu=4)
+    boxed = eq.quantum_family(st.StateSpec(kind="ClassicalBoxGibbs", beta=0.7, mu=0.1, box=box))
+    assert boxed(0.05) == st.StateSpec(kind="QuantumBoxGibbs", beta=0.7, h=0.05, mu=0.1, box=box)
+    cond = eq.quantum_family(st.StateSpec(kind="ClassicalCondensate", beta=1.1, alpha=0.3))
+    q = cond(0.1)
+    assert (q.kind, q.beta, q.h, q.nu) == ("QuantumCondensate", 1.1, 0.1, 3)
+    # h (rho_bar - rho_c(beta h)) is the classical weight alpha
+    assert 0.1 * (q.rho_bar - st.critical_density(1.1, 0.1, 3)) == pytest.approx(0.3, rel=1e-12)
+
+
+def test_quantum_family_rejections():
+    with pytest.raises(InvalidSpec):
+        eq.quantum_family(st.StateSpec(kind="ClassicalCondensate", beta=1.0, alpha=math.inf))
+    with pytest.raises(InvalidSpec):
+        eq.quantum_family(st.StateSpec(kind="QuantumInfVol", beta=1.0, h=0.5, mu=-0.2))
+
+
 def test_semiclassical_scan_slope_box():
     box_of = lambda h: st.StateSpec(
         kind="QuantumBoxGibbs", beta=1.0, h=h, mu=0.0,

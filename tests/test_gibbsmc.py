@@ -21,8 +21,6 @@ def test_spec_validation_and_json():
                       ((1.0, math.nan), 1.0), ((math.inf,), 1.0)):
         with pytest.raises(InvalidSpec):
             mc.GaussianMeasureSpec(eigenvalues=eig, beta=beta)
-    back = mc.GaussianMeasureSpec.from_json_dict(SPEC.to_json_dict())
-    assert back == SPEC
 
 
 def test_closed_form_theta_anchors():

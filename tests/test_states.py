@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from scipy.integrate import quad
 from scipy.special import zeta
 
 from weylgas import spectrum as sp
 from weylgas import states as st
 from weylgas import testfn as tf
 from weylgas.errors import ChemicalPotentialOutOfRange, DimensionTooLow, InvalidSpec
-from weylgas.errors import DomainViolation, ValidationError
+from weylgas.errors import DomainViolation, QuadratureFailure, ValidationError
 
 BOX = sp.BoxSpectrum(L=1.0, nu=3, cutoff=16)
 
@@ -172,6 +173,39 @@ def test_critical_density_closed_form_matches_radial_quadrature(nu):
     for bh in np.geomspace(1e-3, 1e3, 13):
         assert st.critical_density(float(bh), 1.0, nu) == pytest.approx(
             st._bose_integral(float(bh), 0.0, nu), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1e-12, 1e-8])
+def test_quantum_density_at_small_beta_h(beta):
+    # Li_{3/2}(e^{-t}) = zeta(3/2) - 2 sqrt(pi t) - zeta(1/2) t + O(t^2); the
+    # sqrt(t) term sits below u = sqrt(2t) of the scaled radial integrand
+    t = beta  # h = 1, mu = -1
+    want = (2 * math.pi * beta) ** -1.5 \
+        * (zeta(1.5) - 2 * math.sqrt(math.pi * t) - zeta(0.5) * t)
+    spec = st.StateSpec(kind="QuantumInfVol", beta=beta, h=1.0, mu=-1.0)
+    assert st.quantum_density(spec) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 5])
+def test_quantum_density_against_polylog_series(nu):
+    # (2 pi beta h)^{-nu/2} Li_{nu/2}(z) with Li_s(z) = sum_k z^k / k^s
+    for beta, h, mu in ((1.0, 1.0, -0.4), (0.3, 2.0, -1.5), (4.0, 0.5, -0.9)):
+        z = math.exp(beta * h * mu)
+        li = math.fsum(z ** k / k ** (nu / 2.0) for k in range(1, 400))
+        spec = st.StateSpec(kind="QuantumInfVol", beta=beta, h=h, mu=mu, nu=nu)
+        assert st.quantum_density(spec) == pytest.approx(
+            (2 * math.pi * beta * h) ** (-nu / 2.0) * li, rel=1e-12)
+
+
+def test_quantum_density_failures_are_typed(monkeypatch):
+    far = st.StateSpec(kind="QuantumInfVol", beta=1e-300, h=1.0, mu=-1.0)
+    with pytest.raises(DomainViolation):  # (beta h)^{-3/2} overflows
+        st.quantum_density(far)
+    # one subdivision cannot resolve the narrow window below u = sqrt(2 t)
+    monkeypatch.setattr(st, "quad", lambda *a, **k: quad(*a, **{**k, "limit": 1}))
+    with pytest.raises(QuadratureFailure):
+        st.quantum_density(st.StateSpec(kind="QuantumInfVol", beta=1e-12, h=1.0,
+                                        mu=-1.0, nu=1))
 
 
 def test_quantum_density_monotone_in_mu():

@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import time
 
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 from weylgas import testfn as tf
 from weylgas.errors import DimensionMismatch, DimensionTooLow, DomainViolation
-from weylgas.errors import InvalidSpec
+from weylgas.errors import InvalidSpec, QuadratureFailure
 
 
 def mix3():
@@ -67,6 +68,21 @@ def test_inner_product_antilinear_first_slot():
         z.conjugate() * tf.inner_product(f, g), rel=1e-13)
     assert tf.inner_product(f, g) == pytest.approx(
         tf.inner_product(g, f).conjugate(), rel=1e-13)
+
+
+def test_norm_far_from_the_origin_is_translation_invariant():
+    # each axis is evaluated in centred form, so no exponent term grows like
+    # center^2 (at 1e160 such a term overflows)
+    def packet(c):
+        return (tf.gaussian(0.8 - 0.3j, (c, -c, 0.0), 1.3, (0.7, 0.0, -2.0))
+                + tf.gaussian(0.4j, (c, -c, 0.0), 0.6, (0.7, 0.0, -2.0)))
+
+    near = tf.norm_sq(packet(0.0))
+    for c in (1e4, 1e160, 1e300):
+        assert tf.norm_sq(packet(c)) == pytest.approx(near, rel=1e-15)
+    # packets too far apart for (c2 - c1)^2 to be a float do not overlap
+    assert tf.inner_product(tf.gaussian(1.0, (-1e300,), 1.0),
+                            tf.gaussian(1.0, (1e300,), 1.0)) == 0j
 
 
 def test_plancherel_momentum_side():
@@ -136,17 +152,61 @@ def test_resolvent_against_momentum_quadrature():
             tf.resolvent_pair(f, f, c)
 
 
-def test_thermal_routes_agree():
-    # the geometric series and the coth-split evaluate the same integral
-    f = mix3()
-    series = tf.thermal_pair(f, f, 1.0, 1.0, -0.3)
-    from weylgas.testfn import _critical_pair_correction, _pair_params
-    split = (2.0 / 1.0) * tf.resolvent_pair(f, f, 0.3)
+def _coth_split(f, g, bh, mu):
+    """(2/(beta h)) <f, (H - mu)^{-1} g> plus the critical correction per term pair."""
+    total = (2.0 / bh) * tf.resolvent_pair(f, g, -mu)
     for s in f.terms:
-        for t in f.terms:
-            pref, a0, b, c_sum = _pair_params(s, t, 3)
-            split += _critical_pair_correction(pref, a0, b, c_sum, 3, 1.0, shift=0.3)
-    assert complex(series) == pytest.approx(complex(split), rel=1e-11)
+        for t in g.terms:
+            pref, a0, b, c_sum = tf._pair_params(s, t, f.nu)
+            total += tf._critical_pair_correction(pref, a0, b, c_sum, f.nu, bh, shift=-bh * mu)
+    return total
+
+
+_MOVING = tf.gaussian(0.3, (0.2, 0.0, -0.1), 0.8, (2.5, -1.0, 0.7))
+_ROUTE_CASES = {
+    "mix3": (mix3(), mix3()),
+    "momentum-pair": (_MOVING, _MOVING),
+    "momentum-cross": (mix3(), _MOVING),
+    "separated-centres": ((tf.gaussian(0.2, (1.5, 0, 0), 0.6)
+                           + tf.gaussian(0.2, (-1.5, 0, 0), 0.6)),) * 2,
+    "three-terms": (mix_three(), mix_three()),
+    "nu1": ((tf.gaussian(0.3, (0.2,), 0.9, (1.1,)) + tf.gaussian(0.1j, (-0.7,), 0.6)),) * 2,
+    "nu2": ((tf.gaussian(0.3, (0.2, -0.4), 0.9, (1.1, -0.6))
+             + tf.gaussian(0.1 - 0.1j, (-0.7, 0.3), 0.6)),) * 2,
+    "nu4": ((tf.gaussian(0.3, (0.2, -0.4, 0.1, 0.0), 0.9, (1.1, -0.6, 0.0, 0.4))
+             + tf.gaussian(0.1 - 0.1j, (-0.7, 0.3, 0.0, 0.5), 0.6)),) * 2,
+}
+
+
+@pytest.mark.parametrize("bh, mu", [(1.0, -0.3), (0.2, -0.5), (5.0, -0.1)])
+@pytest.mark.parametrize("case", list(_ROUTE_CASES))
+def test_thermal_routes_agree(case, bh, mu):
+    # the geometric series and the coth split evaluate the same integral
+    f, g = _ROUTE_CASES[case]
+    series = tf.thermal_pair(f, g, bh, 1.0, mu)
+    assert complex(series) == pytest.approx(complex(_coth_split(f, g, bh, mu)), rel=1e-11)
+
+
+def test_critical_correction_raises_when_quad_misses_its_target(monkeypatch):
+    # a target below rounding cannot be met: quad's estimate misses it
+    monkeypatch.setattr(tf, "_RTOL", 1e-18)
+    pref, a0, b, c_sum = tf._pair_params(_MOVING.terms[0], mix3().terms[1], 3)
+    with pytest.raises(QuadratureFailure):
+        tf._critical_pair_correction(pref, a0, b, c_sum, 3, 1.0)
+
+
+def test_coth_defect_against_exact_arithmetic():
+    # phi(s) = (e^s + 1)/(e^s - 1) - 2/s in 60-digit decimal arithmetic; the
+    # direct form alone would lose 12 eps/s^2 to cancellation
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for s in np.geomspace(1e-9, 200.0, 400):
+            d = decimal.Decimal(float(s))
+            e = d.exp()
+            exact = float((e + 1) / (e - 1) - 2 / d)
+            assert tf._coth_defect(float(s)) == pytest.approx(exact, rel=5e-14, abs=0)
+    assert tf._coth_defect(0.0) == 0.0
+    assert tf._coth_defect(math.inf) == 1.0
 
 
 def test_thermal_momentum_oracle_critical():
