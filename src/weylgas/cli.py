@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import math
 import sys
@@ -214,7 +215,10 @@ def _cmd_witness(args) -> dict:
     return data
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged and returns a fresh namespace for every argv."""
     ap = argparse.ArgumentParser(
         prog="weylgas",
         description="Weyl algebra quantization and free Bose gas states")

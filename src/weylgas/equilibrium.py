@@ -16,11 +16,11 @@ mandatory two-step Richardson consistency check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import spectrum as sp
 from . import states as st
@@ -61,14 +61,28 @@ class WeakDerivationSpec:
         return self.mu if self.kind == "HMinusMu" else 0.0
 
 
+# Newton steps before solve_mu_quantum gives up.  A solve takes 3-10 density
+# passes on the perfbench boxes and at most 18 on the solver tests' grid.
+_NEWTON_STEPS = 200
+
+
 def solve_mu_quantum(rho_target: float, box: sp.BoxSpectrum, beta: float,
                      h: float, *, rel_tol: float = 1e-10) -> float:
     """mu < E_ground with box density rho(mu) = rho_target.
 
-    The density is strictly increasing in mu and diverges at the ground
-    energy, so a bracket (expanded geometrically to the left, shrunk toward
-    E_ground on the right) always exists; the root is polished by a
-    bracketed solver and verified against ``rel_tol``.
+    On (-inf, E_ground) the density summed over the shells of the box is
+    increasing and convex in mu.  Newton's iteration therefore descends
+    monotonically onto the root from any start on its right; it starts
+    where the ground shell alone carries the target,
+    beta h (E_ground - mu_0) = log1p(1 / (|Lambda| rho_target)), and needs
+    no bracket.  Each step sums rho and d rho / d mu over the cached shell
+    table in one pass, with beta h (E_m - mu) written as
+    beta h eps + beta h kappa (m - nu), eps = E_ground - mu, so nothing
+    cancels near the ground energy.  The iteration stops when a step falls
+    below a few ulps of eps; the result is certified by the
+    ``quantum_density`` round trip at ``rel_tol``, tail bound included.
+    BracketFailure is raised when the steps run out, when mu rounds onto
+    the ground energy, or when the round trip fails.
     """
     if not all(math.isfinite(v) for v in (rho_target, beta, h)):
         raise DomainViolation(
@@ -80,36 +94,40 @@ def solve_mu_quantum(rho_target: float, box: sp.BoxSpectrum, beta: float,
     if not rel_tol > 0:
         raise DomainViolation(f"rel_tol must be positive, got {rel_tol}")
     e0 = sp.ground_energy(box.L, box.nu)
+    bh = beta * h
+    particles = sp.volume(box.L, box.nu) * rho_target
+    if not (0.0 < bh < math.inf and particles > 0.0):
+        raise DomainViolation(
+            f"beta h = {bh} or the target particle number {particles} "
+            "leaves the float range")
+    shells, mult = sp._shell_table(box.cutoff, box.nu)
 
-    def density(mu: float) -> float:
-        try:
-            spec = st.StateSpec(kind="QuantumBoxGibbs", beta=beta, h=h, mu=mu, box=box)
-            return st.quantum_density(spec)
-        except TailToleranceExceeded as exc:
-            raise BracketFailure(f"density tail certificate too loose: {exc}") from exc
+    eps = math.log1p(1.0 / particles) / bh
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gap = bh * sp.kappa(box.L) * (shells - box.nu)
+        for _ in range(_NEWTON_STEPS):
+            # occupations w; numpy scalars turn a vanishing or overflowing
+            # sum into inf or NaN instead of raising
+            w = 1.0 / np.expm1(bh * eps + gap)
+            step = float((mult @ w - particles) / (bh * (mult @ (w * (1.0 + w)))))
+            # a step that is negative or NaN is rounding at the root
+            if not step > 4.0 * sys.float_info.epsilon * eps:
+                break
+            eps += step
+        else:
+            raise BracketFailure(
+                f"Newton's iteration for mu took more than {_NEWTON_STEPS} steps")
+    mu = e0 - eps
+    if not mu < e0:
+        raise BracketFailure(
+            f"mu for the target density {rho_target} lies within rounding of the "
+            f"ground energy {e0}")
 
-    lo = e0 - 1.0
-    for _ in range(200):
-        if density(lo) < rho_target:
-            break
-        lo = e0 - 2.0 * (e0 - lo)
-    else:
-        raise BracketFailure("could not bracket the target density from below")
-
-    eps = 1e-6
-    hi = e0 - eps
-    for _ in range(200):
-        if density(hi) > rho_target:
-            break
-        eps *= 1e-2
-        if eps < 1e-280:
-            raise BracketFailure("could not bracket the target density from above")
-        hi = e0 - eps
-    else:
-        raise BracketFailure("could not bracket the target density from above")
-
-    mu = brentq(lambda m: density(m) - rho_target, lo, hi, xtol=1e-300, rtol=8.9e-16)
-    achieved = density(mu)
+    try:
+        achieved = st.quantum_density(
+            st.StateSpec(kind="QuantumBoxGibbs", beta=beta, h=h, mu=mu, box=box))
+    except TailToleranceExceeded as exc:
+        raise BracketFailure(f"density tail certificate too loose: {exc}") from exc
     if abs(achieved - rho_target) > rel_tol * rho_target:
         raise BracketFailure(
             f"round-trip density error {abs(achieved - rho_target)/rho_target:.3e} "
@@ -198,7 +216,13 @@ def semiclassical_scan(spec_family: Callable[[float], st.StateSpec],
 
 def _scan_cutoff(f: tf.TestFunction, L: float) -> int:
     kmax = max(max(abs(w) for w in t.wave) + 8.0 / t.sigma for t in f.terms)
-    return max(16, int(math.ceil(2.0 * L * kmax / math.pi)) + 2)
+    modes = 2.0 * L * kmax / math.pi
+    # compared in float: an infinite mode count has no integer ceiling
+    if not modes + 2.0 <= sp._MAX_SHELLS:
+        raise DomainViolation(
+            f"the scan at L = {L} needs {modes:.3g} modes per axis, more than "
+            f"{sp._MAX_SHELLS}")
+    return max(16, math.ceil(modes) + 2)
 
 
 def thermodynamic_scan(alpha: float, beta: float, f: tf.TestFunction,

@@ -207,20 +207,22 @@ def gaussian_axis_tail(a: float, cutoff: int) -> float:
 
 
 def bose_weight(spec: BoxSpectrum, beta: float, h: float, mu: float):
-    """Weight x/(1-x), x = exp(-beta h (kappa m - mu)), as a function of the
-    shell m = |n|^2, and the certified bound on its sum beyond the cutoff.
+    """Weight x/(1-x) = 1/expm1(beta h (kappa m - mu)),
+    x = exp(-beta h (kappa m - mu)), as a function of the shell m = |n|^2,
+    and the certified bound on its sum beyond the cutoff.
 
-    The tail bound factorizes the Gaussian sum per axis and controls the
-    Bose denominator by its value at the lowest tail energy.
+    ``expm1`` keeps the weight accurate to a few ulps as mu nears the
+    ground energy, where 1 - x would cancel.  The tail bound factorizes the
+    Gaussian sum per axis and controls the Bose denominator by its value
+    at the lowest tail energy.
     """
     k = kappa(spec.L)
     bh = beta * h
 
-    # an exponent below the float range is a zero weight
+    # an exponent beyond the float range is a zero weight
     def weight(m):
         with np.errstate(over="ignore"):
-            x = np.exp(-bh * (k * m - mu))
-        return x / (1.0 - x)
+            return 1.0 / np.expm1(bh * (k * m - mu))
 
     cutoff = spec.cutoff
     with np.errstate(over="ignore"):
@@ -245,9 +247,11 @@ def bose_weight(spec: BoxSpectrum, beta: float, h: float, mu: float):
 _THETA_N = np.arange(1.0, 7.0)
 
 
+@lru_cache(maxsize=64)
 def _theta_mellin(s: float, nu: int) -> tuple[float, float]:
     """J = sum over n in N^nu of (|n|^2 / nu)^{-s} for 2 s > nu, with the
-    summed quad error estimate.
+    summed quad error estimate.  J does not depend on L, so a box of any
+    size reuses the value kept for its (s, nu).
 
     J = nu^s / Gamma(s) int_0^inf t^{s-1} theta(t)^nu dt, where
     theta(t) = sum_{n >= 1} exp(-t n^2).  On (0, pi] theta is Poisson

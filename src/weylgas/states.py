@@ -65,7 +65,7 @@ __all__ = [
     "validate_spec", "weyl_expectation", "two_point",
     "field_weyl_expectation", "quantum_density", "critical_density",
     "gram_matrix", "mode_sigma", "mode_norm_sq",
-    "spec_to_json", "spec_from_json",
+    "spec_from_json",
 ]
 
 QUANTUM_KINDS = ("QuantumBoxGibbs", "QuantumInfVol", "QuantumCondensate")
@@ -577,19 +577,6 @@ def gram_matrix(spec: StateSpec, fs: Sequence) -> np.ndarray:
 
 
 # -- JSON wire format -------------------------------------------------------------
-
-def spec_to_json(spec: StateSpec) -> dict:
-    d = {"kind": spec.kind, "beta": spec.beta, "h": spec.h, "nu": spec.nu}
-    if spec.mu is not None:
-        d["mu"] = spec.mu
-    if spec.rho_bar is not None:
-        d["rho_bar"] = spec.rho_bar
-    if spec.alpha is not None:
-        d["alpha"] = "inf" if math.isinf(spec.alpha) else spec.alpha
-    if spec.box is not None:
-        d["box"] = {"L": spec.box.L, "nu": spec.box.nu, "cutoff": spec.box.cutoff}
-    return d
-
 
 def spec_from_json(d: Mapping) -> StateSpec:
     """The StateSpec of a JSON object; InvalidSpec for missing keys or

@@ -278,6 +278,8 @@ _FN = json.dumps({"nu": 3, "terms": [{"amp": [0.1, 0.0], "center": [0, 0, 0],
     ["compute-state", "--state", '{"kind": "QuantumBoxGibbs", "beta": 1, "mu": -1, "h": 1, '
      '"box": {"L": 2, "nu": 3, "cutoff": %s}}' % _HUGE_INT, "--fn", _FN],
     ["witness", "--f", "[[1,0]]", "--h", "0", "--n-max", _HUGE_INT],
+    # a box too large for any shell table
+    ["limit-scan", "--mode", "thermodynamic", "--alpha", "0", "--Ls", "1e308,5", "--fn", _FN],
 ])
 def test_bad_inputs_exit_two_without_traceback(capsys, argv):
     code = cli.main(argv)
@@ -291,6 +293,8 @@ def test_bad_inputs_exit_two_without_traceback(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["berezin-verify", "--lambda", "1e308"],
     ["solve-mu", "--rho", "0.1", "--L", "2", "--beta", "1e308", "--h", "1", "--cutoff", "16"],
+    # mu for this target rounds onto the ground energy
+    ["solve-mu", "--rho", "1e300", "--L", "2", "--beta", "1", "--h", "1", "--cutoff", "16"],
     ["check-kms", "--mode", "fd", "--dt", "1e308", "--deriv", '{"kind": "HMinusMu", "mu": -1}',
      "--state", '{"kind": "ClassicalInfVol", "beta": 1, "mu": -1}', "--f", _FN, "--g", _FN],
 ])
@@ -300,6 +304,24 @@ def test_out_of_range_numerics_exit_three_without_traceback(capsys, argv):
     assert code == 3
     assert captured.err.startswith("certificate failure:")
     assert "Traceback" not in captured.err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    state = ('{"kind": "QuantumBoxGibbs", "beta": 1, "h": 0.5, "mu": 0, '
+             '"box": {"L": 6, "nu": 3, "cutoff": 32}}')
+    argv = ["compute-state", "--state", state, "--fn", _FN]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    # neither a rejected flag value nor another subcommand leaks into the next parse
+    with pytest.raises(SystemExit):
+        cli.main(["compute-state", "--state", state, "--fn", _FN, "--tail-tol", "x"])
+    assert cli.main(["compute-state", "--state", state, "--fn", "{", "--tail-tol", "0.5"]) == 2
+    assert cli.main(["solve-mu", "--rho", "0.1", "--L", "2", "--beta", "1", "--h", "1",
+                     "--cutoff", "16"]) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_nan_h_is_reported_as_hbar(capsys):

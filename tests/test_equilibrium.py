@@ -8,7 +8,7 @@ from weylgas import spectrum as sp
 from weylgas import states as st
 from weylgas import testfn as tf
 from weylgas.errors import BracketFailure, DomainViolation, InvalidSpec, \
-    NonPositiveTarget, StepTooLarge, SubcriticalDensity
+    NonPositiveTarget, StepTooLarge, SubcriticalDensity, TailToleranceExceeded
 
 
 def test_derivation_spec_validation():
@@ -168,6 +168,70 @@ def test_kms_finite_difference_route():
     assert r1 / r2 == pytest.approx(4.0, abs=0.5)
     with pytest.raises(StepTooLarge):
         eq.kms_residual(spec, deriv, f, g, mode="fd", dt=5.0)
+
+
+def _certifiable_root(rho, box, beta, h, rel_tol):
+    """Bisection on quantum_density: a mu that meets the round trip at
+    rel_tol with a certified tail, or None when no float mu does."""
+    e0 = sp.ground_energy(box.L, box.nu)
+
+    def density(mu):  # None where the tail certificate fails
+        try:
+            return st.quantum_density(
+                st.StateSpec(kind="QuantumBoxGibbs", beta=beta, h=h, mu=mu, box=box))
+        except TailToleranceExceeded:
+            return None
+
+    # the tail bound grows with mu, so a failed tail counts as a density too high
+    def too_high(mu):
+        d = density(mu)
+        return d is None or d > rho
+
+    lo, hi = e0 - 1.0, e0
+    while too_high(lo):
+        lo, hi = e0 - 2.0 * (e0 - lo), lo
+    while hi - lo > 1e-14 * (e0 - hi):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if too_high(mid):
+            hi = mid
+        else:
+            lo = mid
+    for mu in (lo, hi):
+        d = density(mu)
+        if d is not None and abs(d - rho) <= rel_tol * rho:
+            return mu
+    return None
+
+
+@pytest.mark.parametrize("cutoff", [16, 64])
+@pytest.mark.parametrize("bh", [0.1, 1.0, 30.0])
+@pytest.mark.parametrize("L", [0.5, 1.0, 5.0, 40.0])
+@pytest.mark.parametrize("rho", [1e-8, 1e-3, 0.1, 10.0, 1e4])
+def test_solve_mu_matches_bisection(rho, L, bh, cutoff):
+    box = sp.BoxSpectrum(L=L, nu=3, cutoff=cutoff)
+    beta, h = 2.0 * bh, 0.5
+    ref = _certifiable_root(rho, box, beta, h, 1e-10)
+    if ref is None:
+        # the tail is too loose at the root, or no float mu meets the tolerance
+        with pytest.raises(BracketFailure):
+            eq.solve_mu_quantum(rho, box, beta, h)
+        return
+    mu = eq.solve_mu_quantum(rho, box, beta, h)
+    spec = st.StateSpec(kind="QuantumBoxGibbs", beta=beta, h=h, mu=mu, box=box)
+    assert abs(st.quantum_density(spec) - rho) <= 1e-10 * rho
+    # E_0 - mu to 1e-12, or to the spacing of the floats mu takes
+    e0 = sp.ground_energy(L, 3)
+    assert abs(mu - ref) <= max(1e-12 * (e0 - ref), math.ulp(ref))
+
+
+def test_solve_mu_step_cap_raises(monkeypatch):
+    box = sp.BoxSpectrum(L=1.0, nu=3, cutoff=16)
+    eq.solve_mu_quantum(0.1, box, beta=1.0, h=1.0)
+    monkeypatch.setattr(eq, "_NEWTON_STEPS", 1)
+    with pytest.raises(BracketFailure, match="Newton"):
+        eq.solve_mu_quantum(0.1, box, beta=1.0, h=1.0)
 
 
 def test_solver_round_trip_failure_is_reported():

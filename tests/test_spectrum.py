@@ -95,6 +95,13 @@ def test_trace_power_convergent_branch():
     assert abs(val2 - val) <= 1e-6 * abs(val)
 
 
+def test_convergent_trace_scales_with_the_ground_energy_alone():
+    # Tr H^-s = E_0(L)^-s J(s, nu): the kept J serves every L
+    scaled = [sp.trace_h_power(2.0, sp.BoxSpectrum(L=L, nu=3, cutoff=8))[0]
+              * sp.ground_energy(L, 3) ** 2 for L in (0.5, 1.0, 7.0, 1e3)]
+    assert scaled == pytest.approx([scaled[0]] * 4, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("s", [0.6, 1.0, 2.0, 3.5, 12.0])
 def test_trace_power_one_dimension_is_zeta(s):
     # sum_{n >= 1} (kappa n^2)^{-s} = kappa^{-s} zeta(2s)

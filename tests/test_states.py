@@ -264,16 +264,16 @@ def test_field_weyl_matches_finite_difference():
 
 
 def test_spec_json_round_trip():
-    for spec in (qbox(h=0.25, mu=-0.3),
-                  st.StateSpec(kind="ClassicalCondensate", beta=2.0,
-                               alpha=math.inf, nu=3),
-                  st.StateSpec(kind="QuantumInfVol", beta=1.0, h=1.0, mu=-1.0)):
-        d = st.spec_to_json(spec)
-        back = st.spec_from_json(d)
-        assert back == spec
-    d = st.spec_to_json(st.StateSpec(kind="ClassicalCondensate", beta=2.0,
-                                     alpha=math.inf, nu=3))
-    assert d["alpha"] == "inf"
+    cases = (
+        ({"kind": "QuantumBoxGibbs", "beta": 1.0, "h": 0.25, "mu": -0.3,
+          "box": {"L": 1.0, "nu": 3, "cutoff": 16}}, qbox(h=0.25, mu=-0.3)),
+        ({"kind": "ClassicalCondensate", "beta": 2.0, "h": 0.0, "nu": 3, "alpha": "inf"},
+         st.StateSpec(kind="ClassicalCondensate", beta=2.0, alpha=math.inf, nu=3)),
+        ({"kind": "QuantumInfVol", "beta": 1.0, "h": 1.0, "mu": -1.0},
+         st.StateSpec(kind="QuantumInfVol", beta=1.0, h=1.0, mu=-1.0)),
+    )
+    for d, spec in cases:
+        assert st.spec_from_json(d) == spec
 
 
 # -- validation boundary -----------------------------------------------------------
