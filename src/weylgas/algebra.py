@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import (
     DomainViolation,
-    InvalidSpec,
     MismatchedDimension,
     MismatchedHbar,
     NegativeHbar,
@@ -152,16 +151,6 @@ class WeylElement:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def generator(cls, coords: Iterable[complex], hbar: float = 0.0,
-                  coeff: complex = 1.0) -> "WeylElement":
-        label = _canon_label(coords)
-        return cls(hbar, len(label), {label: complex(coeff)})
-
-    @classmethod
-    def unit(cls, dim: int, hbar: float = 0.0) -> "WeylElement":
-        return cls(hbar, dim, {_canon_label([0.0] * dim): 1.0})
-
-    @classmethod
     def zero(cls, dim: int, hbar: float = 0.0) -> "WeylElement":
         return cls(hbar, dim, {})
 
@@ -218,18 +207,16 @@ class WeylElement:
             return self.scale(other)
         return multiply(self, other)
 
-    def adjoint(self) -> "WeylElement":
-        return adjoint(self)
-
 
 def weyl(coords: Iterable[complex], hbar: float = 0.0, coeff: complex = 1.0) -> WeylElement:
     """Single generator ``coeff * W(coords)`` at the given hbar."""
-    return WeylElement.generator(coords, hbar, coeff)
+    label = _canon_label(coords)
+    return WeylElement(hbar, len(label), {label: complex(coeff)})
 
 
 def unit(dim: int, hbar: float = 0.0) -> WeylElement:
     """The algebra unit W(0)."""
-    return WeylElement.unit(dim, hbar)
+    return WeylElement(hbar, dim, {_canon_label([0.0] * dim): 1.0})
 
 
 def _phase(s, h, trig):
@@ -417,39 +404,3 @@ def elements_close(a: WeylElement, b: WeylElement, atol: float = 1e-12) -> bool:
         # a difference whose modulus leaves the float range exceeds atol
         return False
 
-
-# -- JSON wire format -------------------------------------------------------
-
-def to_json_dict(a: WeylElement) -> dict:
-    """{"hbar": h, "terms": [{"label": [[re, im], ...], "coeff": [re, im]}]}"""
-    return {
-        "hbar": a.hbar,
-        "terms": [
-            {"label": [[z.real, z.imag] for z in f],
-             "coeff": [c.real, c.imag]}
-            for f, c in sorted(a.terms.items(),
-                               key=lambda kv: tuple((z.real, z.imag) for z in kv[0]))
-        ],
-    }
-
-
-def from_json_dict(d: Mapping) -> WeylElement:
-    """The WeylElement of a JSON object; InvalidSpec for missing keys,
-    values of the wrong type or length, non-finite numbers and an element
-    without terms (the first term carries the dimension)."""
-    try:
-        hbar = float(d["hbar"])
-        pairs = [(tuple(complex(re, im) for re, im in entry["label"]),
-                  complex(entry["coeff"][0], entry["coeff"][1])) for entry in d["terms"]]
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"malformed Weyl element: {exc!r}") from None
-    if not pairs:
-        raise InvalidSpec("element must carry an explicit dimension via at least one term")
-    if not math.isfinite(hbar) or not all(
-            cmath.isfinite(z) for label, c in pairs for z in (*label, c)):
-        raise InvalidSpec("Weyl element numbers must be finite")
-    terms: dict[tuple[complex, ...], complex] = {}
-    for label, c in pairs:
-        label = _canon_label(label)
-        terms[label] = terms.get(label, 0.0) + c
-    return WeylElement(hbar, len(pairs[0][0]), terms)

@@ -25,10 +25,18 @@ A_qq A_pp + |A_qp|^2 is real and positive, and it is the product of the
 eigenvalues of A, whose real parts are positive; the product of their
 principal roots is its positive root.
 
+Each axis is first centred: with a = (c_1 + c_2)/2 and k = (w_1 + w_2)/2,
+translating both packets by -a and their waves by -k multiplies the element
+by the exact phase e^{-i(lam a + mu h k + (w_2 - w_1) a)}, so the integral
+is taken at centres -+(c_2 - c_1)/2 and waves -+(w_2 - w_1)/2 and that phase
+is put back.  No exponent term of the Gaussian then grows with the centres.
+
 Rounding: A, det A and the prefactor are sums and products of positive
 terms, exact to a few ulps.  The exponent's rounding error is a few ulps
 of the sum of the magnitudes of its terms, and that is the relative error
-of the result: about 1e-14 for packets within a few widths of the origin.
+of the result: about 1e-14 for packets within a few widths of each other,
+plus a few ulps of the translation phase, which grows with |lam a|,
+|mu h k| and |(w_2 - w_1) a|.
 A determinant outside the normal float range raises DomainViolation.  A
 non-finite exponent or value has no finite rounding bound and raises
 QuadratureFailure, except that an exponent whose real part overflows to
@@ -179,7 +187,8 @@ def _axis_gaussian(lam, mu, c1, s1, w1, c2, s2, w2, h):
 def berezin_matrix_element(lam, mu, phi: WavePacket, psi: WavePacket,
                            h: float) -> complex:
     """int e^{i(lam.q+mu.p)} <phi, psi^{qp}><psi^{qp}, psi> dq dp/(2 pi h)^l,
-    evaluated as a closed Gaussian integral per axis (module docstring)."""
+    evaluated as a closed Gaussian integral per axis (module docstring) on
+    packets centred at the mean centre a and mean wave k of the axis."""
     if phi.ell != psi.ell:
         raise DomainViolation("packets live on different axis counts")
     if not 0 < h < math.inf:
@@ -192,10 +201,13 @@ def berezin_matrix_element(lam, mu, phi: WavePacket, psi: WavePacket,
         raise DomainViolation("labels must be finite")
     pref, expo = phi.amp.conjugate() * psi.amp, 0.0
     for i in range(phi.ell):
-        f, e = _axis_gaussian(float(lam[i]), float(mu[i]),
-                              phi.centers[i], phi.sigmas[i], phi.waves[i],
-                              psi.centers[i], psi.sigmas[i], psi.waves[i], h)
-        pref, expo = pref * f, expo + e
+        l, m = float(lam[i]), float(mu[i])
+        c1, c2, w1, w2 = phi.centers[i], psi.centers[i], phi.waves[i], psi.waves[i]
+        a, k = 0.5 * c1 + 0.5 * c2, 0.5 * w1 + 0.5 * w2  # halves: no overflow
+        f, e = _axis_gaussian(l, m, c1 - a, phi.sigmas[i], w1 - k,
+                              c2 - a, psi.sigmas[i], w2 - k, h)
+        pref = pref * f
+        expo = expo + e + complex(0.0, l * a + m * h * k + (w2 - w1) * a)
     if expo.real == -math.inf:  # e^expo is 0 whatever its (NaN) phase
         return 0j
     try:

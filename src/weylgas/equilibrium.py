@@ -31,13 +31,12 @@ from .errors import (
     InvalidSpec,
     NonPositiveTarget,
     StepTooLarge,
-    SubcriticalDensity,
     TailToleranceExceeded,
 )
 
 __all__ = [
     "WeakDerivationSpec", "solve_mu_quantum", "mu_net_classical",
-    "condensate_fraction_limit", "quantum_family", "semiclassical_scan",
+    "quantum_family", "semiclassical_scan",
     "thermodynamic_scan", "kms_residual",
 ]
 
@@ -149,27 +148,6 @@ def mu_net_classical(alpha: float, L: float, beta: float, nu: int = 3) -> float:
     if alpha == 0.0:
         return 0.0
     return sp.ground_energy(L, nu) - 1.0 / (alpha * beta * sp.volume(L, nu))
-
-
-def condensate_fraction_limit(rho_of_h: Callable[[float], float], beta: float,
-                              nu: int, h_grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Tabulate h (rho(h) - rho_c(beta h)) along ``h_grid``.
-
-    The limit of the tabulated values (when it exists) is the condensate
-    weight alpha of the semiclassical limit state.  SubcriticalDensity is
-    raised as soon as the profile dips below the critical density.
-    """
-    out = []
-    for h in h_grid:
-        if h <= 0:
-            raise DomainViolation("h grid must be positive")
-        rc = st.critical_density(beta, h, nu)
-        rho = float(rho_of_h(h))
-        if rho < rc * (1.0 - 1e-12):
-            raise SubcriticalDensity(
-                f"rho({h}) = {rho} below critical density {rc}")
-        out.append((float(h), h * (rho - rc)))
-    return out
 
 
 def quantum_family(spec: st.StateSpec) -> Callable[[float], st.StateSpec]:

@@ -74,10 +74,6 @@ class NonPositiveTarget(ValidationError):
     """A target density must be strictly positive."""
 
 
-class SubcriticalDensity(ValidationError):
-    """Density profile fails to stay above the critical density."""
-
-
 class StepTooLarge(CertificateError):
     """Finite-difference step failed its Richardson consistency check."""
 

@@ -19,16 +19,14 @@ norm bounds coincide):
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import algebra as alg
-from . import states as st
-from . import testfn as tf
-from .errors import DomainViolation, InvalidSpec, NegativeHbar, NonzeroHbar
+from .errors import DomainViolation, NegativeHbar, NonzeroHbar
 
 __all__ = [
     "quantize", "preimage", "dirac_residual", "vonneumann_residual",
-    "rieffel_profile", "nonsurjectivity_witness", "pullback_expectation",
+    "rieffel_profile", "nonsurjectivity_witness",
 ]
 
 
@@ -133,46 +131,3 @@ def nonsurjectivity_witness(f: Sequence[complex], n_max: int, h: float) -> dict:
         preimage_l2.append(pre_norm)
     return {"target_l2": target_l2, "preimage_l2": preimage_l2}
 
-
-def pullback_expectation(spec: st.StateSpec, a: alg.WeylElement, basis) -> complex:
-    """omega_h(Q_h(a)) for a classical element ``a`` against a quantum state.
-
-    ``basis`` interprets label coordinates: for box kinds a sequence of mode
-    multi-indices or mode maps (coordinate j weights vector basis[j]); for
-    continuum kinds a sequence of TestFunction objects.  The state's
-    deformation parameter supplies h.
-    """
-    if a.hbar != 0.0:
-        raise NonzeroHbar("pullback acts on hbar = 0 elements")
-    if spec.kind not in st.QUANTUM_KINDS:
-        raise InvalidSpec("pullback targets quantum state kinds")
-    h = spec.h
-    basis = list(basis)
-    if len(basis) != a.dim:
-        raise alg.MismatchedDimension(
-            f"element dimension {a.dim} vs basis of size {len(basis)}")
-
-    box = spec.kind == "QuantumBoxGibbs"
-    total = 0.0 + 0.0j
-    for label, coeff in a.terms.items():
-        if box:
-            fmap: dict[tuple[int, ...], complex] = {}
-            for c, entry in zip(label, basis):
-                items = entry.items() if isinstance(entry, Mapping) \
-                    else [(entry, 1.0)]
-                for n, w in items:
-                    n = tuple(int(v) for v in n)
-                    fmap[n] = fmap.get(n, 0.0) + c * complex(w)
-            nsq = st.mode_norm_sq(fmap)
-            val = st.weyl_expectation(spec, fmap)
-        else:
-            fn = None
-            for c, g in zip(label, basis):
-                if not isinstance(g, tf.TestFunction):
-                    raise TypeError("continuum basis entries must be TestFunction")
-                piece = c * g
-                fn = piece if fn is None else fn + piece
-            nsq = tf.norm_sq(fn)
-            val = st.weyl_expectation(spec, fn)
-        total += coeff * math.exp(-h * nsq / 4.0) * val
-    return complex(total)

@@ -63,7 +63,7 @@ from .errors import (
 __all__ = [
     "StateSpec", "QUANTUM_KINDS", "CLASSICAL_KINDS", "ALL_KINDS",
     "validate_spec", "weyl_expectation", "two_point",
-    "field_weyl_expectation", "quantum_density", "critical_density",
+    "quantum_density", "critical_density",
     "gram_matrix", "mode_sigma", "mode_norm_sq",
     "spec_from_json",
 ]
@@ -224,10 +224,11 @@ def _axis_tail_sq_bound(center: float, sigma: float, wave: float,
 
 
 def _box_weight(spec: StateSpec, e):
-    """F at box energies e (an ndarray or a scalar)."""
+    """F at box energies e (an ndarray or a scalar).  The quantum weight is
+    coth(beta h (E - mu)/2) through tanh, which keeps full relative accuracy
+    near the ground energy, where (1 + x)/(1 - x) cancels in 1 - x."""
     if spec.h:
-        x = np.exp(-spec.beta * spec.h * (e - spec.mu))
-        return (1.0 + x) / (1.0 - x)
+        return 1.0 / np.tanh(0.5 * spec.beta * spec.h * (e - spec.mu))
     return 1.0 / (spec.beta * (e - spec.mu))
 
 
@@ -445,15 +446,6 @@ def classical_shifted_expectation(spec: StateSpec, x, k, ts) -> np.ndarray:
     # the finite-difference check rejects)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.exp(-spec._c * (qxx + 2.0 * ts * qxk + ts ** 2 * qkk))
-
-
-def field_weyl_expectation(spec: StateSpec, k, g) -> complex:
-    """omega(Phi(k) W(g)) for the classical kinds: the derivative
-    -i d/dt omega(W(g + t k)) at t = 0, which is i Re B(g, k) omega(W(g)).
-    """
-    if spec.h:
-        raise InvalidSpec("field insertions are defined for classical kinds")
-    return 1j * _form(spec, g, k).real * weyl_expectation(spec, g)
 
 
 def two_point(spec: StateSpec, f, g) -> complex:

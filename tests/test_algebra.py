@@ -8,7 +8,7 @@ from weylgas import algebra as alg
 from weylgas.algebra import WeylElement
 from weylgas.errors import MismatchedDimension, MismatchedHbar, NegativeHbar, \
     NonzeroHbar, ZeroHbar
-from weylgas.errors import DomainViolation, InvalidSpec
+from weylgas.errors import DomainViolation
 
 
 def coords(dim, lo=-3.0, hi=3.0):
@@ -161,14 +161,6 @@ def test_coefficient_modulus_beyond_float_range():
     assert alg.elements_close(a, a)
 
 
-def test_json_round_trip():
-    a = alg.weyl((1 + 2j, -0.5j), 0.25, coeff=0.5 - 0.25j) \
-        + alg.unit(2, 0.25).scale(1.5)
-    b = alg.from_json_dict(alg.to_json_dict(a))
-    assert alg.elements_close(a, b, atol=0.0)
-    assert b.hbar == 0.25
-
-
 @settings(max_examples=60, deadline=None)
 @given(a=elements(2, 0.3), b=elements(2, 0.3), c=elements(2, 0.3))
 def test_multiplication_associative(a, b, c):
@@ -220,24 +212,6 @@ def test_norm_bounds_bracket_l2(a):
     l2 = math.sqrt(sum(abs(v) ** 2 for v in a.terms.values()))
     assert lo == pytest.approx(l2, rel=1e-12)
     assert up >= lo - 1e-15
-
-
-@pytest.mark.parametrize("d", [
-    {}, 5, [1], {"terms": []}, {"hbar": 0.0}, {"hbar": "x", "terms": []},
-    {"hbar": 0.0, "terms": []},
-    {"hbar": 0.0, "terms": [[1]]},
-    {"hbar": 0.0, "terms": [{"label": [[1, 0]]}]},
-    {"hbar": 0.0, "terms": [{"label": [[1, 0]], "coeff": [1]}]},
-    {"hbar": 0.0, "terms": [{"label": [1], "coeff": [1, 0]}]},
-    {"hbar": 0.0, "terms": [{"label": [["a", "b"]], "coeff": [1, 0]}]},
-    {"hbar": 0.0, "terms": [{"label": [[10 ** 400, 0]], "coeff": [1, 0]}]},
-    {"hbar": math.nan, "terms": [{"label": [[1, 0]], "coeff": [1, 0]}]},
-    {"hbar": 0.0, "terms": [{"label": [[math.inf, 0]], "coeff": [1, 0]}]},
-    {"hbar": 0.0, "terms": [{"label": [[1, 0]], "coeff": [math.nan, 0]}]},
-])
-def test_from_json_dict_rejects_malformed_input(d):
-    with pytest.raises(InvalidSpec):
-        alg.from_json_dict(d)
 
 
 # -- the bilinear kernel against the pairwise loop it replaced ----------------

@@ -159,6 +159,11 @@ def test_closed_form_matches_identity_on_random_elements():
         ell, h = int(rng.integers(1, 4)), float(rng.uniform(0.05, 3.0))
         cases.append((rng.uniform(-3, 3, ell), rng.uniform(-3, 3, ell), h,
                       _random_packet(rng, ell, h), _random_packet(rng, ell, h)))
+    # far from the origin, where an uncentred exponent cancels
+    for c in (1e2, 1e4):
+        cases.append((np.array([0.7]), np.array([-0.4]), 0.5,
+                      bz.WavePacket(0.6 - 0.3j, (c + 0.2,), (0.8,), (0.3,)),
+                      bz.WavePacket(1.0, (c - 0.3,), (1.1,), (-0.5,))))
     smallest = math.inf
     for lam, mu, h, phi, psi in cases:
         got = bz.berezin_matrix_element(lam, mu, phi, psi, h)
@@ -184,12 +189,15 @@ def test_exponent_overflowing_to_minus_inf_gives_zero():
 
 
 def test_nan_exponent_still_raises():
-    # centres at 1e160: the exponent's terms overflow with opposite signs
-    far = bz.WavePacket(amp=1.0, centers=(1e160,), sigmas=(1.0,), waves=(0.0,))
+    # translation phases lam a = +inf and mu h k = -inf add up to NaN
+    far = bz.WavePacket(amp=1.0, centers=(1e308,), sigmas=(1.0,), waves=(-1e308,))
     with pytest.raises(QuadratureFailure):
-        bz.berezin_matrix_element([0.0], [0.0], far, far, 1.0)
-    # the overlap is taken in centred form, which keeps such centres exact
+        bz.berezin_matrix_element([10.0], [10.0], far, far, 1.0)
+    # both sides are taken in centred form, which keeps centres at 1e160 exact
+    far = bz.WavePacket(amp=1.0, centers=(1e160,), sigmas=(1.0,), waves=(0.0,))
     assert bz.overlap(far, far) == pytest.approx(bz.norm_sq(far), rel=1e-15)
+    assert bz.berezin_matrix_element([0.0], [0.0], far, far, 1.0) \
+        == pytest.approx(bz.norm_sq(far), rel=1e-15)
     # a phase (w2 - w1) (mean centre) beyond the float range has no rounding bound
     narrow = bz.WavePacket(amp=1.0, centers=(1e300,), sigmas=(1e-200,), waves=(0.0,))
     moving = bz.WavePacket(amp=1.0, centers=(1e300,), sigmas=(1e-200,), waves=(1e100,))

@@ -8,7 +8,7 @@ from weylgas import spectrum as sp
 from weylgas import states as st
 from weylgas import testfn as tf
 from weylgas.errors import BracketFailure, DomainViolation, InvalidSpec, \
-    NonPositiveTarget, StepTooLarge, SubcriticalDensity, TailToleranceExceeded
+    NonPositiveTarget, StepTooLarge, TailToleranceExceeded
 
 
 def test_derivation_spec_validation():
@@ -59,20 +59,6 @@ def test_solve_mu_rejects_bad_targets():
     for rel_tol in (math.nan, 0.0, -1.0):
         with pytest.raises(DomainViolation):
             eq.solve_mu_quantum(0.1, box, beta=1.0, h=1.0, rel_tol=rel_tol)
-
-
-def test_condensate_fraction_limit():
-    beta, nu = 1.0, 3
-    # density kept a fixed excess 0.3/h above critical
-    rho = lambda h: st.critical_density(beta, h, nu) + 0.3 / h
-    out = eq.condensate_fraction_limit(rho, beta, nu, [0.1, 0.05, 0.025])
-    hs = [p[0] for p in out]
-    fracs = np.array([p[1] for p in out])
-    assert hs == [0.1, 0.05, 0.025]
-    assert fracs == pytest.approx(0.3, rel=1e-12)
-    with pytest.raises(SubcriticalDensity):
-        eq.condensate_fraction_limit(
-            lambda h: 0.5 * st.critical_density(beta, h, nu), beta, nu, [0.1])
 
 
 def test_quantum_family_of_each_classical_kind():

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from weylgas import algebra as alg
+from weylgas import berezin as bz
 from weylgas import quantize as qz
-from weylgas import spectrum as sp
-from weylgas import states as st
-from weylgas import testfn as tf
-from weylgas.errors import InvalidSpec, MismatchedDimension, NegativeHbar, \
-    NonzeroHbar
+from weylgas.errors import NegativeHbar, NonzeroHbar
 from weylgas.errors import DomainViolation
 
 
@@ -120,41 +117,23 @@ def test_witness_validates_input():
         qz.nonsurjectivity_witness((0j,), 5, 1.0)
 
 
-def test_pullback_against_direct_box_expectation():
-    box = sp.BoxSpectrum(1.0, 3, 12)
-    spec = st.StateSpec(kind="QuantumBoxGibbs", beta=1.0, h=0.5, mu=0.0, box=box)
-    # a = W0(e1) with basis vector the (1,1,1) mode
-    a = alg.weyl((1 + 0j,), 0.0, coeff=2.0)
-    basis = [{(1, 1, 1): 1.0 + 0j}]
-    val = qz.pullback_expectation(spec, a, basis)
-    direct = 2.0 * math.exp(-0.5 * 1.0 / 4.0) * st.weyl_expectation(
-        spec, {(1, 1, 1): 1.0 + 0j})
-    assert val == pytest.approx(direct, rel=1e-12)
-
-
-def test_pullback_against_direct_continuum_expectation():
-    spec = st.StateSpec(kind="QuantumInfVol", beta=1.0, h=0.3, mu=-1.0, nu=3)
-    g1 = tf.gaussian(0.1, (0, 0, 0), 1.0)
-    g2 = tf.gaussian(0.05, (0.5, 0, 0), 0.8)
-    a = alg.weyl((1 + 0j, 0j), 0.0) + alg.weyl((0j, 1j), 0.0, coeff=0.5)
-    val = qz.pullback_expectation(spec, a, [g1, g2])
-    lab1 = g1.scale(1.0)
-    lab2 = g2.scale(1j)
-    direct = math.exp(-0.3 * tf.norm_sq(lab1) / 4.0) * st.weyl_expectation(spec, lab1) \
-        + 0.5 * math.exp(-0.3 * tf.norm_sq(lab2) / 4.0) * st.weyl_expectation(spec, lab2)
-    assert val == pytest.approx(direct, rel=1e-10)
-
-
-def test_pullback_validates():
-    spec = st.StateSpec(kind="ClassicalInfVol", beta=1.0, mu=-1.0, nu=3)
-    a = alg.weyl((1 + 0j,), 0.0)
-    with pytest.raises(InvalidSpec):
-        qz.pullback_expectation(spec, a, [tf.gaussian(0.1, (0, 0, 0), 1.0)])
-    qspec = st.StateSpec(kind="QuantumInfVol", beta=1.0, h=0.3, mu=-1.0, nu=3)
-    with pytest.raises(MismatchedDimension):
-        qz.pullback_expectation(qspec, a, [tf.gaussian(0.1, (0, 0, 0), 1.0)] * 2)
-    with pytest.raises(NonzeroHbar):
-        qz.pullback_expectation(qspec, alg.weyl((1j,), 0.1), [tf.gaussian(0.1, (0, 0, 0), 1.0)])
+def test_labels_are_phase_space_points():
+    # f_j = lam_j + i mu_j: the Weyl twist and the quantization damping of a
+    # label agree with the Schrodinger representation and the Berezin integral
+    rng = np.random.default_rng(37)
+    h = 0.37
+    f, g = (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2) for _ in range(2))
+    phi = bz.WavePacket(0.6 - 0.3j, (0.4, -0.2), (1.3, 0.7), (-0.8, 0.5))
+    psi = bz.coherent_state([-0.2, 0.1], [0.5, -0.3], h)
+    [twist] = alg.multiply(alg.weyl(f, h), alg.weyl(g, h)).terms.values()
+    product = bz.overlap(phi, bz.weyl_action(
+        f.real, f.imag, bz.weyl_action(g.real, g.imag, psi, h), h))
+    joint = bz.schrodinger_matrix_element(f.real + g.real, f.imag + g.imag, phi, psi, h)
+    assert twist == pytest.approx(product / joint, rel=1e-12)
+    damping = qz.quantize(alg.weyl(f), h).coefficient(f)
+    assert damping == pytest.approx(
+        bz.berezin_matrix_element(f.real, f.imag, phi, psi, h)
+        / bz.schrodinger_matrix_element(f.real, f.imag, phi, psi, h), rel=1e-12)
 
 
 def test_bad_witness_and_profile_inputs_are_domain_violations():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as hst
 from scipy.integrate import quad
 from scipy.special import zeta
 
+from weylgas import equilibrium as eq
 from weylgas import spectrum as sp
 from weylgas import states as st
 from weylgas import testfn as tf
@@ -244,23 +245,25 @@ def test_shifted_expectation_time_zero():
 
 
 def test_field_weyl_matches_finite_difference():
-    # omega(Phi(k) W(g)) = -i d/ds omega(W(g + s k))|_0 for real s
-    spec = cbox()
-    k = {(1, 1, 1): 0.3 + 0.1j}
+    # the field insertion of kms_residual, omega(Phi(k) W(x)) = -i d/dt
+    # omega(W(x + t k))|_0, against a central difference of weyl_expectation
+    # for a generator H - s that does not match the state's mu
+    spec = cbox(mu=-0.2)
+    deriv = eq.WeakDerivationSpec(kind="HMinusMu", mu=-0.6)
+    f = {(1, 1, 1): 0.3 + 0.1j, (1, 2, 1): -0.2j}
     g = {(1, 1, 1): 0.5 - 0.2j, (2, 2, 1): 0.1}
-    exact = st.field_weyl_expectation(spec, k, g)
+    x = {n: f.get(n, 0.0) + g.get(n, 0.0) for n in set(f) | set(g)}
+    k = {n: 1j * (sp.eigenvalue(n, BOX.L) + 0.6) * c for n, c in f.items()}
 
-    def omega(s):
-        shifted = dict(g)
-        for n, c in k.items():
-            shifted[n] = shifted.get(n, 0.0) + s * c
-        val = complex(st.weyl_expectation(spec, shifted))
-        ph = math.exp(0.0)  # classical Weyl product has no phase at h = 0
-        return val * ph
+    def omega(t):
+        return st.weyl_expectation(spec, {n: x.get(n, 0.0) + t * k.get(n, 0.0)
+                                          for n in set(x) | set(k)})
 
     eps = 1e-5
     fd = (omega(eps) - omega(-eps)) / (2 * eps)
-    assert exact == pytest.approx(-1j * fd, rel=1e-7)
+    want = abs(st.mode_sigma(g, f) * omega(0.0) - spec.beta * fd)
+    assert want > 5e-3  # the matching generator H - mu leaves about 1e-17
+    assert eq.kms_residual(spec, deriv, f, g) == pytest.approx(want, rel=1e-7)
 
 
 def test_spec_json_round_trip():
@@ -465,11 +468,20 @@ def _direct_box_quadform(f, spec):
     n2 = np.arange(1, C + 1, dtype=float) ** 2
     energy = sp.kappa(L) * functools.reduce(np.add.outer, [n2] * nu)
     if spec.h:
-        x = np.exp(-spec.beta * spec.h * (energy - spec.mu))
-        weight = (1 + x) / (1 - x)
+        weight = 1.0 / np.tanh(spec.beta * spec.h * (energy - spec.mu) / 2.0)
     else:
         weight = 1.0 / (spec.beta * (energy - spec.mu))
     return L ** -nu * np.einsum(axes + "," + axes + "->", np.abs(coeff) ** 2, weight)
+
+
+def test_quantum_box_weight_near_the_ground_energy():
+    # near the ground energy 1 - exp(-beta h gap) cancels; coth must not
+    box = sp.BoxSpectrum(L=2.0, nu=3, cutoff=16)
+    e0 = sp.ground_energy(2.0, 3)
+    for gap in (1e-9, 1e-6):
+        spec = st.StateSpec(kind="QuantumBoxGibbs", beta=1.0, h=1.0, mu=e0 - gap, box=box)
+        assert st._box_weight(spec, e0) == pytest.approx(
+            1.0 / math.tanh((e0 - spec.mu) / 2.0), rel=1e-14)
 
 
 _KINDS = ("QuantumBoxGibbs", "ClassicalBoxGibbs")
