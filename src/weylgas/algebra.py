@@ -109,7 +109,11 @@ class WeylElement:
     def __init__(self, hbar: float, dim: int, terms: Mapping[tuple[complex, ...], complex]):
         if hbar < 0:
             raise NegativeHbar(f"hbar = {hbar}")
-        if not math.isfinite(hbar):
+        try:
+            finite = math.isfinite(hbar)
+        except OverflowError:
+            raise DomainViolation("hbar is an integer beyond the float range") from None
+        if not finite:
             raise DomainViolation(f"hbar must be finite, got {hbar}")
         self.hbar = float(hbar)
         self.dim = int(dim)
@@ -118,8 +122,12 @@ class WeylElement:
             if len(label) != dim:
                 raise MismatchedDimension(
                     f"label of length {len(label)} in a dimension-{dim} element")
-            coeff = complex(coeff)
-            if not (cmath.isfinite(coeff) and all(map(cmath.isfinite, label))):
+            try:
+                coeff = complex(coeff)
+                finite = cmath.isfinite(coeff) and all(map(cmath.isfinite, label))
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise DomainViolation(
                     f"label coordinates and coefficients must be finite: {label}, {coeff}")
             try:
@@ -210,8 +218,12 @@ class WeylElement:
 
 def weyl(coords: Iterable[complex], hbar: float = 0.0, coeff: complex = 1.0) -> WeylElement:
     """Single generator ``coeff * W(coords)`` at the given hbar."""
-    label = _canon_label(coords)
-    return WeylElement(hbar, len(label), {label: complex(coeff)})
+    try:
+        label = _canon_label(coords)
+    except OverflowError:
+        raise DomainViolation("label coordinates must be finite; an integer leaves "
+                              "the float range") from None
+    return WeylElement(hbar, len(label), {label: coeff})
 
 
 def unit(dim: int, hbar: float = 0.0) -> WeylElement:

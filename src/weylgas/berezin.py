@@ -72,10 +72,13 @@ class WavePacket:
     waves: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "amp", complex(self.amp))
-        object.__setattr__(self, "centers", tuple(float(v) for v in self.centers))
-        object.__setattr__(self, "sigmas", tuple(float(v) for v in self.sigmas))
-        object.__setattr__(self, "waves", tuple(float(v) for v in self.waves))
+        try:
+            object.__setattr__(self, "amp", complex(self.amp))
+            for name in ("centers", "sigmas", "waves"):
+                object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        except OverflowError:
+            raise DomainViolation("packet fields must be finite; an integer leaves "
+                                  "the float range") from None
         if not (cmath.isfinite(self.amp) and all(
                 map(math.isfinite, self.centers + self.sigmas + self.waves))):
             raise DomainViolation(f"packet fields must be finite: {self}")

@@ -52,7 +52,12 @@ class GaussianMeasureSpec:
     beta: float
 
     def __post_init__(self):
-        eig = tuple(float(v) for v in self.eigenvalues)
+        try:
+            eig = tuple(float(v) for v in self.eigenvalues)
+            object.__setattr__(self, "beta", float(self.beta))
+        except OverflowError:
+            raise InvalidSpec("eigenvalues and beta must be finite; an integer "
+                              "leaves the float range") from None
         object.__setattr__(self, "eigenvalues", eig)
         if not eig:
             raise InvalidSpec("need at least one mode")

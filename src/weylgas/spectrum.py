@@ -311,8 +311,12 @@ def trace_h_power(s: float, spec: BoxSpectrum) -> tuple[float, bool]:
     case returns the partial sum over [1..cutoff]^nu, which grows without
     bound.  DomainViolation is raised when the value leaves the float range.
     """
-    if s <= 0:
-        raise DomainViolation("exponent must be positive")
+    try:
+        s = float(s)
+    except OverflowError:
+        s = math.inf
+    if not 0 < s < math.inf:
+        raise DomainViolation(f"exponent must be positive and finite, got {s}")
     k = kappa(spec.L)
     converged = 2.0 * s > spec.nu
 

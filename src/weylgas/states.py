@@ -107,12 +107,18 @@ def validate_spec(spec: StateSpec) -> float:
     condensate weight r."""
     if spec.kind not in ALL_KINDS:
         raise InvalidSpec(f"unknown state kind {spec.kind!r}")
-    for name in ("beta", "h", "mu", "rho_bar"):
+    for name in ("beta", "h", "mu", "rho_bar", "alpha"):
         value = getattr(spec, name)
-        if value is not None and not math.isfinite(value):
-            raise InvalidSpec(f"{name} must be finite, got {value}")
-    if spec.alpha is not None and math.isnan(spec.alpha):
-        raise InvalidSpec("alpha must not be NaN")
+        if value is None:
+            continue
+        try:
+            # alpha = inf is a state
+            bad = math.isnan(value) if name == "alpha" else not math.isfinite(value)
+        except OverflowError:
+            raise InvalidSpec(f"{name} is an integer beyond the float range") from None
+        if bad:
+            raise InvalidSpec(f"{name} must not be NaN" if name == "alpha"
+                              else f"{name} must be finite, got {value}")
     if spec.beta <= 0:
         raise InvalidSpec(f"beta must be positive, got {spec.beta}")
     quantum = spec.kind in QUANTUM_KINDS
@@ -232,12 +238,15 @@ def _box_weight(spec: StateSpec, e):
     return 1.0 / (spec.beta * (e - spec.mu))
 
 
-# Box expectations repeat a test function's geometry on a box while beta, h
-# and mu change.  The axis tables and term-pair shell spectra depend on the
-# geometry and the box alone, so they are kept within this many bytes, least
-# recently used dropped first.  A complex spectrum at sp._MAX_SHELLS shells
-# takes 64 MiB.
+# Box expectations repeat a test function's geometry on a box while beta, h,
+# mu and the amplitudes change.  Everything that depends on the geometry and
+# the box alone is kept in one entry per (term geometries, box), within this
+# many bytes, least recently used dropped first.  A complex spectrum at
+# sp._MAX_SHELLS shells takes 64 MiB.
 _BOX_CACHE_BYTES = 1 << 26
+# An entry keeps the occupied shells up to the first one beyond which every
+# term-pair spectrum S holds at most this fraction of its sum_j |S(m_j)|.
+_SHELL_MASS_DROP = 2.0 ** -60
 
 
 class _BoxCache:
@@ -271,15 +280,68 @@ class _BoxCache:
 _box_cache = _BoxCache()
 
 
-def _box_axis(center: float, sigma: float, wave: float, L: float, cutoff: int):
-    """(overlap table of length cutoff, its squared norm, the certified bound
-    on its squared tail beyond the cutoff) for one axis, cached."""
-    def make():
-        table = tf.axis_sine_overlaps(center, sigma, wave, L, cutoff)
-        table.flags.writeable = False
-        bound = _axis_tail_sq_bound(center, sigma, wave, L, cutoff)
-        return (table, float(np.sum(np.abs(table) ** 2)), bound), table.nbytes
-    return _box_cache.get(("axis", center, sigma, wave, L, cutoff), make)
+@dataclass(frozen=True)
+class _BoxEntry:
+    """What a box expectation needs of its terms' geometry and the box.
+
+    ``rows`` stacks Re S_st, and Im S_st for a complex pair, over the first
+    K occupied shells, for the term pairs s <= t in ``pairs`` order;
+    ``energies`` holds kappa m_j (j < K), the first dropped energy E_K and
+    the lowest energy beyond the cutoff.  Each of ``pairs`` is (s, t, R_st,
+    complex) with R_st = sum_{j >= K} |S_st(m_j)|; ``excess`` holds each
+    term's axis excess (see ``_box_quadform``).
+    """
+    rows: np.ndarray
+    energies: np.ndarray
+    pairs: tuple[tuple[int, int, float, bool], ...]
+    excess: tuple[float, ...]
+
+
+def _box_entry(geoms: tuple, box: sp.BoxSpectrum) -> tuple[_BoxEntry, int]:
+    """The entry of the term geometries ``geoms`` ((center, sigma, wave) per
+    term) on ``box``, and its byte size."""
+    C, L, nu = box.cutoff, box.L, box.nu
+    # refuses an oversized lattice before any axis table is built
+    shells, _ = sp._shell_table(C, nu)
+    axes = {}
+
+    def axis(geom):
+        """(overlap table, its squared norm, bound on its squared tail)."""
+        if geom not in axes:
+            table = tf.axis_sine_overlaps(*geom, L, C)
+            axes[geom] = (table, float(np.sum(np.abs(table) ** 2)),
+                          _axis_tail_sq_bound(*geom, L, C))
+        return axes[geom]
+
+    per_term = [[axis((c, sigma, w)) for c, w in zip(center, wave)]
+                for center, sigma, wave in geoms]
+    excess = tuple(sp._product_excess([(sq, bound) for _, sq, bound in term])
+                   for term in per_term)
+    spectra = []
+    for s in range(len(geoms)):
+        for t in range(s, len(geoms)):
+            # the spectrum of equal geometries is real
+            qs = [(a.conjugate() * b).real if geoms[s] == geoms[t] else a.conjugate() * b
+                  for (a, _, _), (b, _, _) in zip(per_term[s], per_term[t])]
+            spectrum = sp._shell_spectrum(qs)
+            # mass[j] = sum_{i >= j} |S(m_i)|, nonincreasing
+            mass = np.cumsum(np.abs(spectrum)[::-1])[::-1]
+            spectra.append((s, t, spectrum, mass))
+    n_kept = max((int(np.count_nonzero(mass > _SHELL_MASS_DROP * mass[0]))
+                  for *_, mass in spectra), default=0)
+    rows, pairs = [], []
+    for s, t, spectrum, mass in spectra:
+        cplx = np.iscomplexobj(spectrum)
+        rows += [spectrum[:n_kept].real, spectrum[:n_kept].imag] if cplx else [spectrum[:n_kept]]
+        pairs.append((s, t, float(mass[n_kept]) if n_kept < len(mass) else 0.0, cplx))
+    k = sp.kappa(L)
+    e_tail = k * ((C + 1) ** 2 + nu - 1)
+    e_drop = k * shells[n_kept] if n_kept < len(shells) else e_tail
+    energies = np.concatenate((k * shells[:n_kept], [e_drop, e_tail]))
+    matrix = np.array(rows, dtype=float).reshape(len(rows), n_kept)
+    for a in (matrix, energies):
+        a.flags.writeable = False
+    return _BoxEntry(matrix, energies, tuple(pairs), excess), matrix.nbytes + energies.nbytes
 
 
 def _box_quadform(f: tf.TestFunction, spec: StateSpec,
@@ -289,60 +351,49 @@ def _box_quadform(f: tf.TestFunction, spec: StateSpec,
 
     <psi_n, f> = L^{-nu/2} sum_t amp_t prod_i o_ti(n_i) with the axis
     overlaps o of ``axis_sine_overlaps``, and E_n = kappa m depends on n only
-    through the shell m = |n|^2, so each term pair (s, t) contributes
-    S_st @ F(kappa shells) with S_st(m) the sum over |n|^2 = m of
-    prod_i conj(o_si(n_i)) o_ti(n_i) (``spectrum._shell_spectrum``).  The
-    spectra, axis tables and axis tail bounds depend only on the terms'
-    (center, sigma, wave) per axis, L and the cutoff, and are cached under
-    those; F is evaluated once per occupied shell and call.
+    through the shell m = |n|^2, so B is L^{-nu} times the sum over term
+    pairs s <= t of (2 - delta_st) Re(conj(amp_s) amp_t S_st @ F(kappa
+    shells)), with S_st(m) the sum over |n|^2 = m of prod_i conj(o_si(n_i))
+    o_ti(n_i) (``spectrum._shell_spectrum``).  The spectra depend only on
+    the terms' (center, sigma, wave) and the box, and one cached
+    ``_BoxEntry`` holds them over the first K occupied shells, which carry
+    all but ``_SHELL_MASS_DROP`` of every pair's sum of |S_st|.  A call
+    evaluates F on those K energies and does one matrix-vector product.
 
-    The tail bounds, per term, the overlap-squared sum outside the cutoff
-    box by prod_i (|o_ti|^2 + b_ti) - prod_i |o_ti|^2 with b_ti the axis
-    tail bounds.  That excess is telescoped (``spectrum._product_excess``),
-    so it does not cancel: it is positive when some b_ti > 0 and every
-    |o_ti|^2 > 0, and its relative rounding stays within about 2 nu eps.
+    The tail bound has two parts.  The shells j >= K: F is positive and
+    decreasing for E > E_0 > mu, so they add at most F(E_K) L^{-nu}
+    sum_{s <= t} (2 - delta_st) |amp_s| |amp_t| R_st.  The modes beyond the
+    cutoff: per term, the overlap-squared sum outside the cutoff box is
+    prod_i (|o_ti|^2 + b_ti) - prod_i |o_ti|^2 with b_ti the axis tail
+    bounds, telescoped (``spectrum._product_excess``) so that it does not
+    cancel; Cauchy-Schwarz over the terms and F at the lowest energy beyond
+    the cutoff shell bound their weight.
     """
     box = spec.box
     if f.nu != box.nu:
         raise DimensionMismatch(f"test function nu={f.nu} on a nu={box.nu} box")
-    C, L, nu = box.cutoff, box.L, box.nu
-    k = sp.kappa(L)
-    # refuses an oversized lattice before any axis table is built
-    shells, _ = sp._shell_table(C, nu)
+    geoms = tuple((t.center, t.sigma, t.wave) for t in f.terms)
+    entry = _box_cache.get((geoms, box), lambda: _box_entry(geoms, box))
 
-    geoms = [tuple((t.center[i], t.sigma, t.wave[i]) for i in range(nu)) for t in f.terms]
-    per_term = [[_box_axis(*axis, L, C) for axis in geom] for geom in geoms]
-
-    # certified tail of the overlap-squared sum (Cauchy-Schwarz over terms);
-    # F decreases in E, so its value at the lowest energy beyond the cutoff
-    # shell bounds the weight of every discarded mode
-    n_terms = len(f.terms)
-    tail_sq = sum(abs(t.amp) ** 2 * sp._product_excess([(sq, bound) for _, sq, bound in term])
-                  for t, term in zip(f.terms, per_term))
-    e_tail = k * ((C + 1) ** 2 + nu - 1)
-    tail = float(_box_weight(spec, e_tail) * L ** (-nu) * n_terms * tail_sq)
+    weights = _box_weight(spec, entry.energies)
+    sums = (entry.rows @ weights[:-2]).tolist()
+    amps = [t.amp for t in f.terms]
+    total = dropped = 0.0
+    row = 0
+    for s, t, mass, cplx in entry.pairs:
+        # F is real, so the (t, s) term is the conjugate of the (s, t) term
+        w = amps[s].conjugate() * amps[t] * (1.0 if s == t else 2.0)
+        total += w.real * sums[row] - (w.imag * sums[row + 1] if cplx else 0.0)
+        dropped += abs(w) * mass
+        row += 2 if cplx else 1
+    scale = box.L ** (-box.nu)
+    tail_sq = sum(abs(a) ** 2 * e for a, e in zip(amps, entry.excess))
+    tail = float(weights[-1] * scale * len(amps) * tail_sq + weights[-2] * scale * dropped)
     if not math.isfinite(tail) or tail > tail_tol:
         raise TailToleranceExceeded(
             f"certified box tail {tail:.3e} exceeds tolerance {tail_tol:.3e} "
-            f"at cutoff {C}")
-
-    # B = sum_{s,t} conj(amp_s) amp_t S_st @ F; F is real, so the (t, s) term
-    # is the conjugate of the (s, t) term
-    fvals = _box_weight(spec, k * shells)
-    total = 0.0
-    for s in range(n_terms):
-        for t in range(s, n_terms):
-            def make():
-                pairs = zip(per_term[s], per_term[t])
-                # the diagonal spectrum is real
-                qs = [(a.conjugate() * b).real if geoms[s] == geoms[t] else a.conjugate() * b
-                      for (a, _, _), (b, _, _) in pairs]
-                spectrum = sp._shell_spectrum(qs)
-                return spectrum, spectrum.nbytes
-            spectrum = _box_cache.get(("pair", geoms[s], geoms[t], L, C), make)
-            term = (f.terms[s].amp.conjugate() * f.terms[t].amp * (spectrum @ fvals)).real
-            total += term if s == t else 2.0 * term
-    return L ** (-nu) * total, tail
+            f"at cutoff {box.cutoff}")
+    return scale * total, tail
 
 
 # -- the covariance form B -------------------------------------------------------
@@ -511,6 +562,10 @@ def critical_density(beta: float, h: float, nu: int = 3) -> float:
     """
     if nu < 3:
         raise DimensionTooLow(f"critical density diverges for nu = {nu} < 3")
+    try:
+        beta, h = float(beta), float(h)
+    except OverflowError:
+        beta = h = math.inf
     if not (0.0 < beta < math.inf and 0.0 < h < math.inf):
         raise DomainViolation(f"beta and h must be positive and finite, got {beta}, {h}")
     try:

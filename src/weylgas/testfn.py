@@ -64,8 +64,12 @@ class GaussTerm:
     wave: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in
-                   (self.amp.real, self.amp.imag, self.sigma, *self.center, *self.wave)):
+        try:
+            finite = all(math.isfinite(v) for v in
+                         (self.amp.real, self.amp.imag, self.sigma, *self.center, *self.wave))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise DomainViolation(f"Gaussian term parameters must be finite: {self}")
         if self.sigma <= 0:
             raise DomainViolation(f"sigma must be positive, got {self.sigma}")
@@ -119,11 +123,13 @@ class MultiplierApplied:
 def gaussian(amp: complex, center: Sequence[float], sigma: float,
              wave: Sequence[float] | None = None) -> TestFunction:
     """Single-term mixture amp * e^{i wave.x} e^{-|x-center|^2/(2 sigma^2)}."""
-    center = tuple(float(c) for c in center)
-    if wave is None:
-        wave = (0.0,) * len(center)
-    wave = tuple(float(w) for w in wave)
-    return TestFunction(len(center), (GaussTerm(complex(amp), center, float(sigma), wave),))
+    try:
+        amp, center, sigma = complex(amp), tuple(float(c) for c in center), float(sigma)
+        wave = (0.0,) * len(center) if wave is None else tuple(float(w) for w in wave)
+    except OverflowError:
+        raise DomainViolation("Gaussian term parameters must be finite; an integer "
+                              "leaves the float range") from None
+    return TestFunction(len(center), (GaussTerm(amp, center, sigma, wave),))
 
 
 def evaluate(f: TestFunction, x: Sequence[float]) -> complex:
@@ -263,13 +269,14 @@ def ham_pair(f: TestFunction, g: TestFunction) -> complex:
 
 
 def _quad_complex(fn, lo, hi, *, real=False):
-    # scipy's slow-convergence heuristic misfires on long exponential tails
-    # (e.g. resolvent pairings at tiny spectral shift); accuracy is enforced
-    # by the dual-route and oracle tests instead.  ``real`` skips the
-    # imaginary part of an integrand known to be real.  Otherwise the
-    # imaginary part gets an absolute tolerance from the real part's scale:
-    # when it cancels to rounding noise, a relative tolerance alone would
-    # drive quad to the subdivision limit.
+    # scipy's slow-convergence heuristic misfires on long exponential tails,
+    # so its warning is silenced and nothing here checks the result.  The
+    # tau-quadrature therefore serves only where the radial route agrees
+    # with it (c = 0 and c >= _RADIAL_SHIFT; see resolvent_pair).  ``real``
+    # skips the imaginary part of an integrand known to be real.  Otherwise
+    # the imaginary part gets an absolute tolerance from the real part's
+    # scale: when it cancels to rounding noise, a relative tolerance alone
+    # would drive quad to the subdivision limit.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         re, _ = quad(lambda x: fn(x).real, lo, hi, epsabs=0.0, epsrel=_RTOL, limit=400)
@@ -280,9 +287,18 @@ def _quad_complex(fn, lo, hi, *, real=False):
     return complex(re, im)
 
 
+# Below this shift resolvent_pair's first tau interval [0, 1/(2c)] is so
+# long that quad's first nodes step over the peak of K near tau = 0 and it
+# settles on a wrong value without a warning (seen at c = 2e-5 at nu = 4
+# and 5), so the radial route serves instead.
+_RADIAL_SHIFT = 5e-5
+
+
 def resolvent_pair(f: TestFunction, g: TestFunction, c: float) -> complex:
     """<f, (H + c)^{-1} g> = 2 integral_0^inf e^{-2 c tau} K(tau) dtau for
-    c >= 0, any nu (Schwinger representation).
+    c >= 0, any nu (Schwinger representation).  For 0 < c < _RADIAL_SHIFT
+    it is the radial integral of the pair Gaussians against 1/(r^2/2 + c),
+    cut at r = sqrt(2 c) (``_radial_pairing``).
 
     c = 0 is the inverse Hamiltonian <f, H^{-1} g>.  Its tau-integrand
     decays like tau^{-nu/2}, so the form diverges for generic f at nu <= 2
@@ -294,6 +310,8 @@ def resolvent_pair(f: TestFunction, g: TestFunction, c: float) -> complex:
         raise DimensionMismatch(f"{f.nu} vs {g.nu}")
     if c == 0 and f.nu < 3:
         raise DimensionTooLow(f"<f, H^-1 g> requires nu >= 3, got nu={f.nu}")
+    if 0 < c < _RADIAL_SHIFT:
+        return _radial_pairing(f, g, lambda r: 1.0 / (r * r / 2.0 + c), (math.sqrt(2.0 * c),))
     split = max(1.0, 0.5 / c) if c else 1.0
     # K(tau) is real for a diagonal pair
     real = f == g
@@ -322,8 +340,9 @@ def _coth_defect(s: float) -> float:
     return 1.0 / math.tanh(s / 2.0) - 2.0 / s
 
 
-def _critical_pair_correction(pref, a0, b, c_sum, nu, beta_h, *, shift=0.0):
-    """integral of the pair Gaussian times phi(beta_h |p|^2 / 2 + shift) d^nu p.
+def _radial_pair(pref, a0, b, c_sum, nu, weight, cuts=()) -> complex:
+    """integral of the pair Gaussian times weight(|p|) d^nu p, for a radial
+    weight smooth on the pieces between the points ``cuts``.
 
     With z^2 = b.b the angular integral of e^{r b.omega} is A(z r),
     A(x) = (2 pi)^{nu/2} x^{1 - nu/2} I_{nu/2 - 1}(x), even and entire with
@@ -347,18 +366,19 @@ def _critical_pair_correction(pref, a0, b, c_sum, nu, beta_h, *, shift=0.0):
         else:
             ang = (2.0 * math.pi) ** (nu / 2.0) * x ** -order * ive(order, x) \
                 * math.exp(-a0 * r * r + x.real + c_sum.real)
-        return r ** (nu - 1) * ang * _coth_defect(beta_h * r * r / 2.0 + shift)
+        return r ** (nu - 1) * ang * weight(r)
 
     # split at the peak of the envelope r^{nu-1} e^{-a0 r^2 + Re(z) r}
     peak = (z.real + math.sqrt(z.real ** 2 + 8.0 * a0 * (nu - 1))) / (4.0 * a0)
-    pieces = [(0.0, peak), (peak, np.inf)] if peak > 0 else [(0.0, np.inf)]
+    edges = [0.0, *sorted({p for p in (*cuts, peak) if p > 0}), np.inf]
+    pieces = list(zip(edges, edges[1:]))
 
     def integral(part, target, epsrel=0.0):
         outs = [quad(lambda r: part(integrand(r)), lo, hi, epsabs=target / len(pieces),
                      epsrel=epsrel, limit=400, full_output=1) for lo, hi in pieces]
         val, err = sum(o[0] for o in outs), sum(o[1] for o in outs)
         if any(len(o) > 3 for o in outs) or not err <= max(target, epsrel * abs(val)):
-            raise QuadratureFailure(f"critical thermal correction: quad error estimate "
+            raise QuadratureFailure(f"radial pairing: quad error estimate "
                                     f"{err:.3e} misses the target {target:.3e}")
         return val
 
@@ -368,6 +388,16 @@ def _critical_pair_correction(pref, a0, b, c_sum, nu, beta_h, *, shift=0.0):
     re = integral(lambda v: v.real, _RTOL * scale)
     im = integral(lambda v: v.imag, _RTOL * scale)
     return pref * cmath.exp(1j * c_sum.imag) * complex(re, im)
+
+
+def _radial_pairing(f: TestFunction, g: TestFunction, weight, cuts=()) -> complex:
+    """integral conj(fhat) ghat weight(|p|) d^nu p/(2 pi)^nu, one radial
+    quadrature per term pair (``_radial_pair``)."""
+    total = 0j
+    for s in f.terms:
+        for t in g.terms:
+            total += _radial_pair(*_pair_params(s, t, f.nu), f.nu, weight, cuts)
+    return total
 
 
 def thermal_pair(f: TestFunction, g: TestFunction, beta: float, h: float,
@@ -391,12 +421,9 @@ def thermal_pair(f: TestFunction, g: TestFunction, beta: float, h: float,
     nu = f.nu
 
     if mu == 0.0 or beta * h * abs(mu) < 2e-3:
-        total = (2.0 / (beta * h)) * resolvent_pair(f, g, -mu)
-        for s in f.terms:
-            for t in g.terms:
-                pref, a0, b, c_sum = _pair_params(s, t, nu)
-                total += _critical_pair_correction(
-                    pref, a0, b, c_sum, nu, beta * h, shift=-beta * h * mu)
+        beta_h, shift = beta * h, -beta * h * mu
+        total = (2.0 / beta_h) * resolvent_pair(f, g, -mu) + _radial_pairing(
+            f, g, lambda r: _coth_defect(beta_h * r * r / 2.0 + shift))
         return complex(total)
 
     total = complex(heat_pair(f, g, 0.0))

@@ -515,6 +515,8 @@ def test_box_quadform_matches_direct_lattice_sum(monkeypatch, nu, kind, gap, war
         st._box_quadform(f, spec(beta=0.6, h=h / 2, mu=e0 - 0.8), math.inf)
     value, _ = st._box_quadform(f, spec(), math.inf)
     assert value == pytest.approx(_direct_box_quadform(f, spec()), rel=1e-12)
+    # amplitudes are not part of the key: equal geometry shares one entry
+    assert len(st._box_cache._entries) == (2 if warm == "cutoff" else 1)
 
 
 def test_box_quadform_reuses_geometry_across_states(monkeypatch):
@@ -537,29 +539,84 @@ def test_box_quadform_reuses_geometry_across_states(monkeypatch):
 
 
 def test_box_spectrum_over_the_byte_budget_is_used_not_kept(monkeypatch):
+    # f and g differ by a permutation of axes, so their entries are equal in size
     f = tf.gaussian(0.2, (0.1, 0.0, 0.0), 0.3)
     g = tf.gaussian(0.2, (0.0, 0.1, 0.0), 0.3)
     spec = cbox()
 
-    def pair(fn):
-        geom = tuple((c, 0.3, 0.0) for c in fn.terms[0].center)
-        return ("pair", geom, geom, BOX.L, BOX.cutoff)
+    def key(fn):
+        return tuple((t.center, t.sigma, t.wave) for t in fn.terms), BOX
 
     monkeypatch.setattr(st, "_box_cache", st._BoxCache())
     want, _ = st._box_quadform(f, spec, math.inf)
-    assert pair(f) in st._box_cache._entries
-    spectrum_bytes = sp._shell_spectrum([np.ones(BOX.cutoff)] * 3).nbytes
-    # room for the two axis tables but not the spectrum
-    monkeypatch.setattr(st, "_BOX_CACHE_BYTES", spectrum_bytes - 1)
+    assert list(st._box_cache._entries) == [key(f)]
+    entry_bytes = st._box_cache._nbytes
+    # one byte short of the entry: it is used, not kept
+    monkeypatch.setattr(st, "_BOX_CACHE_BYTES", entry_bytes - 1)
     monkeypatch.setattr(st, "_box_cache", st._BoxCache())
     assert st._box_quadform(f, spec, math.inf)[0] == want
-    assert pair(f) not in st._box_cache._entries and len(st._box_cache._entries) == 2
-    # room for one spectrum: g's drops f's, the least recently used
-    monkeypatch.setattr(st, "_BOX_CACHE_BYTES", spectrum_bytes + 2000)
+    assert not st._box_cache._entries and st._box_cache._nbytes == 0
+    # room for one entry: g's drops f's, the least recently used
+    monkeypatch.setattr(st, "_BOX_CACHE_BYTES", 2 * entry_bytes - 1)
     st._box_quadform(f, spec, math.inf)
     st._box_quadform(g, spec, math.inf)
-    assert pair(g) in st._box_cache._entries and pair(f) not in st._box_cache._entries
+    assert list(st._box_cache._entries) == [key(g)]
     assert st._box_cache._nbytes <= st._BOX_CACHE_BYTES
+
+
+def _random_box_case(seed, gap):
+    """1-3 terms with waves on a nu = 1-3 box, mu = E_0 - gap."""
+    rng = np.random.default_rng([seed, 20])
+    nu, n_terms = (int(v) for v in rng.integers(1, 4, 2))
+    L, cutoff = rng.uniform(1.0, 4.0), int(rng.integers(16, 41))
+    f = tf.TestFunction(nu, ())
+    for _ in range(n_terms):
+        f = f + tf.gaussian(complex(*rng.uniform(-0.5, 0.5, 2)), rng.uniform(-0.3, 0.3, nu) * L,
+                            rng.uniform(0.15, 0.3) * L, rng.uniform(-2.0, 2.0, nu) / L)
+    kind = _KINDS[seed % 2]
+    spec = st.StateSpec(kind=kind, beta=rng.uniform(0.5, 2.0), nu=nu,
+                        h=rng.uniform(0.2, 1.0) if kind == "QuantumBoxGibbs" else 0.0,
+                        mu=sp.ground_energy(L, nu) - gap,
+                        box=sp.BoxSpectrum(L=L, nu=nu, cutoff=cutoff))
+    return f, spec
+
+
+@pytest.mark.parametrize("gap", [1e-9, 0.5])
+@pytest.mark.parametrize("seed", range(16))
+def test_box_truncation_is_bounded_in_the_tail(monkeypatch, seed, gap):
+    # the kept shells match a sum over every occupied shell, and the returned
+    # tail covers the cutoff's index tail and the dropped shells
+    f, spec = _random_box_case(seed, gap)
+    L, C, nu = spec.box.L, spec.box.cutoff, spec.box.nu
+    monkeypatch.setattr(st, "_box_cache", st._BoxCache())
+    value, tail = st._box_quadform(f, spec, math.inf)
+    (entry, _), = st._box_cache._entries.values()
+    kept = entry.rows.shape[1]
+
+    shells, _ = sp._shell_table(C, nu)
+    weights = st._box_weight(spec, sp.kappa(L) * shells)
+    tables = [[tf.axis_sine_overlaps(t.center[i], t.sigma, t.wave[i], L, C) for i in range(nu)]
+              for t in f.terms]
+    full = dropped = 0.0
+    for s, a in enumerate(f.terms):
+        for t, b in enumerate(f.terms):
+            spectrum = sp._shell_spectrum([p.conjugate() * q for p, q in zip(tables[s], tables[t])])
+            w = a.amp.conjugate() * b.amp
+            full += (w * (spectrum @ weights)).real
+            dropped += (w * (spectrum[kept:] @ weights[kept:])).real
+    assert value == pytest.approx(L ** -nu * full, rel=1e-13)
+
+    amps = [t.amp for t in f.terms]
+    bound = st._box_weight(spec, entry.energies[-2]) * L ** -nu * sum(
+        (1 if s == t else 2) * abs(amps[s]) * abs(amps[t]) * mass for s, t, mass, _ in entry.pairs)
+    assert L ** -nu * abs(dropped) <= bound
+    tail_sq = sum(abs(t.amp) ** 2 * sp._product_excess([
+        (float(np.sum(np.abs(table) ** 2)),
+         st._axis_tail_sq_bound(t.center[i], t.sigma, t.wave[i], L, C))
+        for i, table in enumerate(tables[j])]) for j, t in enumerate(f.terms))
+    index_tail = st._box_weight(spec, sp.kappa(L) * ((C + 1) ** 2 + nu - 1)) * L ** -nu \
+        * len(f.terms) * tail_sq
+    assert tail >= (index_tail + bound) * (1 - 1e-14)
 
 
 def test_box_expectation_of_the_zero_function_is_one():

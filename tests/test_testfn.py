@@ -153,13 +153,9 @@ def test_resolvent_against_momentum_quadrature():
 
 
 def _coth_split(f, g, bh, mu):
-    """(2/(beta h)) <f, (H - mu)^{-1} g> plus the critical correction per term pair."""
-    total = (2.0 / bh) * tf.resolvent_pair(f, g, -mu)
-    for s in f.terms:
-        for t in g.terms:
-            pref, a0, b, c_sum = tf._pair_params(s, t, f.nu)
-            total += tf._critical_pair_correction(pref, a0, b, c_sum, f.nu, bh, shift=-bh * mu)
-    return total
+    """(2/(beta h)) <f, (H - mu)^{-1} g> plus the radial critical correction."""
+    return (2.0 / bh) * tf.resolvent_pair(f, g, -mu) + tf._radial_pairing(
+        f, g, lambda r: tf._coth_defect(bh * r * r / 2.0 - bh * mu))
 
 
 _MOVING = tf.gaussian(0.3, (0.2, 0.0, -0.1), 0.8, (2.5, -1.0, 0.7))
@@ -192,7 +188,59 @@ def test_critical_correction_raises_when_quad_misses_its_target(monkeypatch):
     monkeypatch.setattr(tf, "_RTOL", 1e-18)
     pref, a0, b, c_sum = tf._pair_params(_MOVING.terms[0], mix3().terms[1], 3)
     with pytest.raises(QuadratureFailure):
-        tf._critical_pair_correction(pref, a0, b, c_sum, 3, 1.0)
+        tf._radial_pair(pref, a0, b, c_sum, 3, lambda r: tf._coth_defect(r * r / 2.0))
+
+
+def _radial_resolvent(f, c):
+    """<f, (H + c)^{-1} f> by the radial route at any c > 0."""
+    return tf._radial_pairing(f, f, lambda r: 1.0 / (r * r / 2.0 + c),
+                              (math.sqrt(2.0 * c),)).real
+
+
+def _random_mixture(nu, seed):
+    """Three terms with waves and separated centres."""
+    rng = np.random.default_rng([nu, seed])
+    f = tf.TestFunction(nu, ())
+    for _ in range(3):
+        f = f + tf.gaussian(complex(*rng.uniform(-0.5, 0.5, 2)), rng.uniform(-1.5, 1.5, nu),
+                            rng.uniform(0.6, 1.4), rng.uniform(-1.5, 1.5, nu))
+    return f
+
+
+@pytest.mark.parametrize("nu", [3, 4, 5])
+def test_resolvent_at_tiny_shifts_lies_between_its_neighbours(nu):
+    # R(c) of a diagonal pair decreases in c; the tau-quadrature returned
+    # values far outside [R(5e-5), R(0)] below c = 2e-5
+    f = _random_mixture(nu, 20)
+    low, high = (tf.resolvent_pair(f, f, c).real for c in (tf._RADIAL_SHIFT, 0.0))
+    values = [tf.resolvent_pair(f, f, c).real for c in (1e-7, 1e-6, 1e-5)]
+    assert high >= values[0] >= values[1] >= values[2] >= low
+
+
+@pytest.mark.parametrize("c", [tf._RADIAL_SHIFT, 1e-4])
+@pytest.mark.parametrize("nu", [3, 4, 5])
+def test_resolvent_routes_agree_at_the_switch(nu, c):
+    f = _random_mixture(nu, 20)
+    assert tf.resolvent_pair(f, f, c).real == pytest.approx(_radial_resolvent(f, c), rel=1e-10)
+
+
+def test_resolvent_at_a_tiny_shift_matches_the_oracle():
+    # the tau-quadrature returned -6.6e-4 here; the value is the momentum
+    # radial oracle's (an independent implementation)
+    f = tf.gaussian(0.117 - 0.262j, (1.69, -1.194, 0.931), 0.701, (-1.533, -0.881, -2.036)) \
+        + tf.gaussian(-0.162 - 0.631j, (-1.297, -2.0, -1.758), 0.658, (-0.412, 0.508, 2.405)) \
+        + tf.gaussian(-0.056 + 0.531j, (0.446, 1.686, -1.594), 1.425, (-0.52, 1.408, -0.887))
+    assert tf.resolvent_pair(f, f, 1.8e-6).real == pytest.approx(3.6872955834561685, rel=1e-10)
+
+
+@pytest.mark.parametrize("nu", [3, 4, 5])
+def test_thermal_pair_near_criticality_lies_between_its_neighbours(nu):
+    # J(mu) of a diagonal pair increases towards mu = 0
+    f = _random_mixture(nu, 20)
+    beta, h = 0.8, 1.25
+    values = [tf.thermal_pair(f, f, beta, h, -x / (beta * h)).real
+              for x in (0.0, 1e-7, 1e-6, 1e-5)]
+    assert values == sorted(values, reverse=True)
 
 
 def test_coth_defect_against_exact_arithmetic():
