@@ -209,8 +209,11 @@ def _axis_tail_sq_bound(center: float, sigma: float, wave: float,
         y = k_next - w
         if y <= 0:
             return math.inf
-        ratio = math.exp(-2.0 * sigma ** 2 * delta * y)
-        gauss += math.exp(-sigma ** 2 * y * y) / (1.0 - ratio)
+        # 1 - e^{-2 sigma^2 delta y}, which rounds to 0 before it is 0
+        gap = -math.expm1(-2.0 * sigma ** 2 * delta * y)
+        if gap == 0.0:
+            return math.inf
+        gauss += math.exp(-sigma ** 2 * y * y) / gap
     gauss *= 4.0 * amp ** 2
 
     def one_sided_dg(a: float) -> float:

@@ -20,7 +20,10 @@ Quadratic forms of H are evaluated through the pairing
 which is closed-form per term pair (each term pair contributes a single
 complex Gaussian integral per axis).  1/(p^2/2 + c) = 2 * integral_0^inf
 exp(-2 c tau) exp(-tau p^2) dtau turns resolvent and inverse-Hamiltonian
-forms into one-dimensional integrals of K.
+forms into one-dimensional integrals of K.  At nu = 3 the inverse
+Hamiltonian (c = 0) integral is a Dawson function per term pair
+(``_invham_pair3``); other shifts and dimensions take a tau-quadrature of
+K, or below _RADIAL_SHIFT one radial quadrature per term pair.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import ive, roots_legendre, wofz
+from scipy.special import dawsn, erfi, ive, roots_legendre, wofz
 
 from .errors import (
     DimensionMismatch,
@@ -272,11 +275,12 @@ def _quad_complex(fn, lo, hi, *, real=False):
     # scipy's slow-convergence heuristic misfires on long exponential tails,
     # so its warning is silenced and nothing here checks the result.  The
     # tau-quadrature therefore serves only where the radial route agrees
-    # with it (c = 0 and c >= _RADIAL_SHIFT; see resolvent_pair).  ``real``
-    # skips the imaginary part of an integrand known to be real.  Otherwise
-    # the imaginary part gets an absolute tolerance from the real part's
-    # scale: when it cancels to rounding noise, a relative tolerance alone
-    # would drive quad to the subdivision limit.
+    # with it: c = 0 at nu >= 4 and c >= _RADIAL_SHIFT (see resolvent_pair;
+    # c = 0 at nu = 3 is closed-form).  ``real`` skips the imaginary part
+    # of an integrand known to be real.  Otherwise the imaginary part gets
+    # an absolute tolerance from the real part's scale: when it cancels to
+    # rounding noise, a relative tolerance alone would drive quad to the
+    # subdivision limit.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         re, _ = quad(lambda x: fn(x).real, lo, hi, epsabs=0.0, epsrel=_RTOL, limit=400)
@@ -294,15 +298,53 @@ def _quad_complex(fn, lo, hi, *, real=False):
 _RADIAL_SHIFT = 5e-5
 
 
+def _invham_pair3(s: GaussTerm, t: GaussTerm) -> complex:
+    """<s, H^{-1} t> for two terms at nu = 3, in closed form.
+
+    With the pair Gaussian pref exp(-a0 |p|^2 + b.p + c_sum) of
+    ``_pair_params`` and q = b.b/(4 a0), the Schwinger integral
+    2 integral_0^inf K(tau) dtau is 4 a0 pref (pi/a0)^{3/2} e^{c_sum} I(q)
+    with I(q) = integral_0^1 e^{q w^2} dw = e^q D(x)/x = (sqrt(pi)/2)
+    erfi(x)/x, x^2 = q, D the Dawson function (both ratios are even in x,
+    so the branch of the root does not matter).  For Re q >= 0 this is
+    4 a0 <s, t> D(x)/x with the centred overlap <s, t> (``_axis_overlap``)
+    and |D(x)/x| bounded.  For Re q < 0 (centres farther apart than the
+    waves reach) <s, t> underflows where D overflows, and the erfi form,
+    with |I(q)| <= 1, serves; it keeps the 1/|centre distance| tail.
+    4 a0 = 2 rho^2 and a0^{-1/2} = sqrt(2)/rho with rho = hypot(sigmas),
+    so nothing divides by an a0 that underflows.
+    """
+    pref, _, b, c_sum = _pair_params(s, t, 3)
+    rho = math.hypot(s.sigma, t.sigma)
+    q = sum((v / rho) * (v / rho) for v in b.tolist()) / 2.0
+    if q.real == -math.inf:
+        # |I(q)| <= sqrt(pi/(-4 Re q)) -> 0
+        return 0j
+    if not cmath.isfinite(q):
+        raise QuadratureFailure("the inverse-H pair exponent leaves the float range")
+    x = cmath.sqrt(q)
+    if q.real >= 0.0:
+        overlap = s.amp.conjugate() * t.amp
+        for i in range(3):
+            overlap *= _axis_overlap(s.center[i], s.sigma, s.wave[i],
+                                     t.center[i], t.sigma, t.wave[i])
+        return 2.0 * rho * rho * overlap * (complex(dawsn(x)) / x if q else 1.0)
+    return 2.0 * math.sqrt(2.0) * math.pi ** 2 / rho * pref * cmath.exp(c_sum) \
+        * complex(erfi(x)) / x
+
+
 def resolvent_pair(f: TestFunction, g: TestFunction, c: float) -> complex:
     """<f, (H + c)^{-1} g> = 2 integral_0^inf e^{-2 c tau} K(tau) dtau for
-    c >= 0, any nu (Schwinger representation).  For 0 < c < _RADIAL_SHIFT
-    it is the radial integral of the pair Gaussians against 1/(r^2/2 + c),
-    cut at r = sqrt(2 c) (``_radial_pairing``).
+    c >= 0, any nu (Schwinger representation).  At nu = 3 and c = 0 it is
+    the closed form of ``_invham_pair3`` summed over term pairs; for
+    0 < c < _RADIAL_SHIFT it is the radial integral of the pair Gaussians
+    against 1/(r^2/2 + c), cut at r = sqrt(2 c) (``_radial_pairing``); every
+    other c and nu takes the tau-quadrature.
 
     c = 0 is the inverse Hamiltonian <f, H^{-1} g>.  Its tau-integrand
     decays like tau^{-nu/2}, so the form diverges for generic f at nu <= 2
-    and DimensionTooLow is raised there.
+    and DimensionTooLow is raised there.  A diagonal pair f == g gives an
+    exactly real value.
     """
     if not 0 <= c < math.inf:
         raise DomainViolation(f"resolvent shift must be finite and nonnegative, got {c}")
@@ -310,11 +352,19 @@ def resolvent_pair(f: TestFunction, g: TestFunction, c: float) -> complex:
         raise DimensionMismatch(f"{f.nu} vs {g.nu}")
     if c == 0 and f.nu < 3:
         raise DimensionTooLow(f"<f, H^-1 g> requires nu >= 3, got nu={f.nu}")
+    # K(tau) is real for a diagonal pair
+    real = f == g
+    if c == 0 and f.nu == 3:
+        if real:
+            # the (t, s) term is the conjugate of the (s, t) term
+            terms = f.terms
+            return complex(sum(
+                _invham_pair3(s, terms[j]).real * (1.0 if i == j else 2.0)
+                for i, s in enumerate(terms) for j in range(i, len(terms))), 0.0)
+        return complex(sum(_invham_pair3(s, t) for s in f.terms for t in g.terms))
     if 0 < c < _RADIAL_SHIFT:
         return _radial_pairing(f, g, lambda r: 1.0 / (r * r / 2.0 + c), (math.sqrt(2.0 * c),))
     split = max(1.0, 0.5 / c) if c else 1.0
-    # K(tau) is real for a diagonal pair
-    real = f == g
 
     def integrand(u):
         return np.exp(-2 * c * u) * heat_pair(f, g, u)

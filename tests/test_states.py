@@ -12,7 +12,8 @@ from weylgas import spectrum as sp
 from weylgas import states as st
 from weylgas import testfn as tf
 from weylgas.errors import ChemicalPotentialOutOfRange, DimensionTooLow, InvalidSpec
-from weylgas.errors import DomainViolation, QuadratureFailure, ValidationError
+from weylgas.errors import DomainViolation, QuadratureFailure, TailToleranceExceeded
+from weylgas.errors import ValidationError
 
 BOX = sp.BoxSpectrum(L=1.0, nu=3, cutoff=16)
 
@@ -632,3 +633,14 @@ def test_spec_from_json_passes_validation_errors_through():
          "box": {"L": -1.0, "nu": 3, "cutoff": 8}}
     with pytest.raises(InvalidSpec, match="^box half-width"):
         st.spec_from_json(d)
+
+
+def test_box_tail_of_a_needle_is_refused_or_finite():
+    # at sigma = 1e-6 the axis tail bound's 1 - e^{-2 sigma^2 delta y}
+    # rounded to 0 and raised a bare ZeroDivisionError
+    spec = cbox(mu=-1.0, box=sp.BoxSpectrum(L=1000, nu=3, cutoff=4))
+    f = tf.gaussian(1, (0, 0, 0), 1e-6)
+    with pytest.raises(TailToleranceExceeded):
+        st.weyl_expectation(spec, f)
+    value, tail = st.weyl_expectation_with_tail(spec, f, tail_tol=math.inf)
+    assert 0.0 <= value <= 1.0 and 0.0 < tail < math.inf

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from weylgas import states as st
 from weylgas import testfn as tf
 from weylgas.errors import DimensionMismatch, DimensionTooLow, DomainViolation
 from weylgas.errors import InvalidSpec, QuadratureFailure
@@ -391,3 +392,98 @@ def test_reordered_mixture_pairs_like_itself_and_fast():
     got = tf.resolvent_pair(f, g, 0.0)
     assert time.perf_counter() - start < 1.0
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# -- the closed-form inverse Hamiltonian at nu = 3 ----------------------------------
+
+def _tau_invham(f, g):
+    """<f, H^-1 g> by the Schwinger tau-quadrature of K, the route that
+    nu = 3 took before its closed form; K(u) is heat_pair's sum over a
+    table of the pair parameters, built once."""
+    table = [(pref, a0, complex(np.sum(b * b)) / 4.0, c_sum)
+             for pref, a0, b, c_sum in (tf._pair_params(s, t, 3)
+                                        for s in f.terms for t in g.terms)]
+
+    def integrand(u):
+        return sum(pref * (math.pi / (a0 + u)) ** 1.5 * cmath.exp(bb / (a0 + u) + c_sum)
+                   for pref, a0, bb, c_sum in table)
+
+    real = f == g
+    return 2.0 * (tf._quad_complex(integrand, 0.0, 1.0, real=real)
+                  + tf._quad_complex(integrand, 1.0, np.inf, real=real))
+
+
+def _perfbench_mixture(rng):
+    """1-3 terms in the benchmark's ranges: sigma 0.5-1.5, |w_i| <= 1 and
+    centres within +-1."""
+    f = tf.TestFunction(3, ())
+    for _ in range(rng.integers(1, 4)):
+        f = f + tf.gaussian(complex(*rng.uniform(-1, 1, 2)), rng.uniform(-1, 1, 3),
+                            rng.uniform(0.5, 1.5), rng.uniform(-1, 1, 3))
+    return f
+
+
+def test_invham_closed_form_matches_the_tau_route():
+    rng = np.random.default_rng(23)
+    for k in range(200):
+        f = _perfbench_mixture(rng)
+        g = f if k % 2 else _perfbench_mixture(rng)
+        got, want = tf.resolvent_pair(f, g, 0.0), _tau_invham(f, g)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        if f == g:
+            assert got.imag == 0.0
+
+
+def _packet(rng, sigma, center, speed):
+    wave = rng.normal(size=3)
+    return tf.gaussian(complex(*rng.uniform(-1, 1, 2)), center + sigma * rng.uniform(-2, 2, 3),
+                       sigma * rng.uniform(0.8, 1.25), wave * speed / np.linalg.norm(wave))
+
+
+@pytest.mark.parametrize("speed", [0.0, 10.0, 35.0])
+@pytest.mark.parametrize("sigma", [1e-3, 0.05, 0.3])
+def test_invham_closed_form_matches_the_radial_route_on_narrow_and_fast_packets(sigma, speed):
+    # the tau-quadrature steps over the peak of K for such packets
+    rng = np.random.default_rng([round(sigma * 1e3), round(speed)])
+    center = rng.uniform(-1, 1, 3)
+    f = _packet(rng, sigma, center, speed) + _packet(rng, sigma, center, speed)
+    g = _packet(rng, sigma, center, speed)
+    for a, b in ((f, f), (f, g)):
+        got = tf.resolvent_pair(a, b, 0.0)
+        assert abs(got - tf._radial_pairing(a, b, lambda r: 2.0 / (r * r))) <= 1e-10 * abs(got)
+
+
+def test_invham_of_a_narrow_fast_condensate_packet():
+    # the tau-quadrature made this expectation 1.0; the value is
+    # exp(-classical_condensate_exponent) of the benchmark oracles
+    spec = st.StateSpec(kind="ClassicalCondensate", beta=1.0, alpha=0.0)
+    f = tf.gaussian(1e8, (0.3, -0.2, 0.1), 2e-4, (10, -10, 5))
+    assert st.weyl_expectation(spec, f) == pytest.approx(0.964990439103791, rel=1e-12)
+
+
+def test_invham_of_far_apart_terms_keeps_the_long_range_tail():
+    # <s, t> underflows and the Dawson function would overflow 60 widths
+    # apart; H^-1 still couples the terms like 1/(2 pi distance)
+    s = tf.gaussian(1.0, (0, 0, 0), 1.0)
+    t = tf.gaussian(0.5 - 0.5j, (60, 0, 0), 1.0, (0.3, 0, 0))
+    assert tf.inner_product(s, t) == 0.0
+    for a, b in ((s, t), (s + t, s + t)):
+        got = tf.resolvent_pair(a, b, 0.0)
+        assert cmath.isfinite(got)
+        assert abs(got - tf._radial_pairing(a, b, lambda r: 2.0 / (r * r))) <= 1e-12 * abs(got)
+    tail = abs(tf.space_integral(s) * tf.space_integral(t)) / (2 * math.pi * 60)
+    assert abs(tf.resolvent_pair(s, t, 0.0)) == pytest.approx(tail, rel=0.01)
+
+
+def test_invham_at_nu_3_runs_no_quadrature(monkeypatch):
+    # the nu = 3 inverse-H path is closed-form; a tau-quadrature there costs
+    # about 8 ms per call and misses narrow or fast packets
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad called on the nu = 3 inverse-H path")
+
+    monkeypatch.setattr(tf, "quad", refuse)
+    f, g = mix_three(), tf.gaussian(0.3j, (0.2, 0.1, -0.4), 0.7, (0.5, 0.0, -0.2))
+    assert tf.resolvent_pair(f, f, 0.0).imag == 0.0
+    tf.resolvent_pair(f, g, 0.0)
+    spec = st.StateSpec(kind="ClassicalCondensate", beta=1.0, alpha=0.1)
+    assert 0.0 < st.weyl_expectation(spec, f) < 1.0
